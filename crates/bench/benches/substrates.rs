@@ -6,7 +6,7 @@ use std::time::Duration;
 use bgpscale_bgp::decision::{select_best, Candidate};
 use bgpscale_bench::fixture;
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
-use bgpscale_simkernel::{EventQueue, SimTime};
+use bgpscale_simkernel::{EventQueue, SimTime, DEFAULT_SLOT_BITS};
 use bgpscale_topology::metrics::{avg_valley_free_path_length, clustering_coefficient};
 use bgpscale_topology::valley::valley_free_distances;
 use bgpscale_topology::{generate, AsId, GrowthScenario, Relationship};
@@ -19,7 +19,7 @@ fn bench_event_queue(c: &mut Criterion) {
         let mut rng = Xoshiro256StarStar::new(1);
         let times: Vec<u64> = (0..10_000).map(|_| rng.next_below(1_000_000)).collect();
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(10_000);
+            let mut q = EventQueue::with_slot_bits(DEFAULT_SLOT_BITS, 10_000);
             for &t in &times {
                 q.schedule(SimTime::from_micros(t), t);
             }

@@ -6,10 +6,6 @@
 //!
 //! * `substrates` — microbenches of the building blocks: event queue,
 //!   PRNG, decision process, topology generation, graph metrics.
-//! * `figures` — one benchmark per reproduced table/figure, running the
-//!   same driver code as the `repro` binary at micro scale. These exist
-//!   so that a performance regression in any part of the pipeline is
-//!   visible per experiment.
 //! * `ablations` — the design-choice ablations called out in DESIGN.md:
 //!   MRAI value sweep, sender-side vs receiver-side loop detection,
 //!   uniform vs constant service times, WRATE vs NO-WRATE.
@@ -21,20 +17,7 @@ pub mod harness;
 use bgpscale_bgp::{BgpConfig, Prefix};
 use bgpscale_core::cevent::run_c_event;
 use bgpscale_core::Simulator;
-use bgpscale_experiments::RunConfig;
 use bgpscale_topology::{generate, AsGraph, AsId, GrowthScenario, NodeType};
-
-/// The micro sweep used by the per-figure benches: small enough that a
-/// full figure regenerates in well under a second.
-pub fn micro_config() -> RunConfig {
-    RunConfig {
-        // Three sizes: the regression figures need ≥3 points for the
-        // quadratic fits.
-        sizes: vec![200, 250, 300],
-        events: 2,
-        seed: 0x2008_0612,
-    }
-}
 
 /// A reusable benchmark fixture: topology plus a C-type originator.
 pub struct Fixture {
@@ -73,12 +56,5 @@ mod tests {
         assert_eq!(fix.graph.len(), 150);
         let updates = one_c_event(&fix, BgpConfig::default(), 2);
         assert!(updates > 0);
-    }
-
-    #[test]
-    fn micro_config_is_small() {
-        let cfg = micro_config();
-        assert!(cfg.sizes.iter().all(|&n| n <= 300));
-        assert!(cfg.events <= 2);
     }
 }

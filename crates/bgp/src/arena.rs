@@ -277,7 +277,7 @@ impl PrefixTable {
                     std::iter::repeat_with(|| None).take(slots),
                 );
                 self.rib_key
-                    .splice(row * slots..row * slots, std::iter::repeat(0).take(slots));
+                    .splice(row * slots..row * slots, std::iter::repeat_n(0, slots));
                 row
             }
         }

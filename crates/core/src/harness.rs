@@ -607,6 +607,33 @@ mod tests {
         }
     }
 
+    /// The merged `metrics.json` histograms carry true sums and maxima:
+    /// each agrees with its matching counter and gauge.
+    #[test]
+    fn observed_histograms_agree_with_counters_and_gauges() {
+        let cfg = ExperimentConfig {
+            scenario: GrowthScenario::Baseline,
+            n: 300,
+            events: 3,
+            seed: 0xDE7,
+            bgp: BgpConfig::default(),
+            event_limit: None,
+            wheel_slot_bits: None,
+        };
+        let m = run_experiment_observed(&cfg, 2, None).metrics;
+        let gauge = |name: &str| m.gauge(name).unwrap().value;
+        let path_len = m.histogram("messages.path_len").unwrap();
+        assert_eq!(path_len.sum(), m.counter("messages.path_len_sum"));
+        assert_eq!(path_len.max(), gauge("messages.path_len_max"));
+        let depth = m.histogram("provenance.depth").unwrap();
+        assert!(depth.count() > 0);
+        assert_eq!(depth.sum(), m.counter("provenance.depth_sum"));
+        assert_eq!(depth.max(), gauge("provenance.depth_max"));
+        let flush = m.histogram("mrai.flush_batch").unwrap();
+        assert_eq!(flush.count(), m.counter("mrai.flushes"));
+        assert_eq!(flush.sum(), m.counter("mrai.flushed_updates"));
+    }
+
     /// Satellite of the provenance PR: `timeseries.json` and the
     /// provenance counters are byte-identical for jobs = 1, 4, 8.
     #[test]

@@ -25,7 +25,7 @@ use bgpscale_obs::{
     EventKind, NoopObserver, OpCounts, Provenance, RootCauseKind, SimObserver, UpdateClass,
 };
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
-use bgpscale_simkernel::{EventQueue, QueueBackend, SimDuration, SimTime};
+use bgpscale_simkernel::{EventQueue, SimDuration, SimTime, DEFAULT_SLOT_BITS};
 use bgpscale_topology::{AsGraph, AsId};
 
 use crate::churn::ChurnCollector;
@@ -266,7 +266,7 @@ impl SimTemplate {
     /// Overrides the timing-wheel slot granularity of stamped-out
     /// simulators (`None` restores the default). Bits outside the wheel's
     /// accepted range will panic at instantiation, matching
-    /// `TimingWheel::new`.
+    /// `EventQueue::with_slot_bits`.
     pub fn set_wheel_slot_bits(&mut self, bits: Option<u32>) {
         self.wheel_slot_bits = bits;
     }
@@ -282,10 +282,8 @@ impl SimTemplate {
         let n = self.graph.len();
         let churn = ChurnCollector::new(&self.graph);
         let mrai_epoch = vec![0u32; self.slab.total_sessions()];
-        let queue = match self.wheel_slot_bits {
-            Some(slot_bits) => EventQueue::with_backend(QueueBackend::Wheel { slot_bits }),
-            None => EventQueue::with_capacity(1024),
-        };
+        let slot_bits = self.wheel_slot_bits.unwrap_or(DEFAULT_SLOT_BITS);
+        let queue = EventQueue::with_slot_bits(slot_bits, 1024);
         Simulator {
             obs,
             graph: Arc::clone(&self.graph),
@@ -396,11 +394,6 @@ impl<O: SimObserver> Simulator<O> {
     /// Messages lost to links that failed while they were in flight.
     pub fn messages_dropped(&self) -> u64 {
         self.messages_dropped
-    }
-
-    /// Which priority-queue backend this simulator's event queue runs on.
-    pub fn queue_backend(&self) -> QueueBackend {
-        self.queue.backend()
     }
 
     /// Flat index of `(node, slot)` in the slab's global session id
@@ -1002,7 +995,7 @@ mod tests {
     }
 
     #[test]
-    fn wheel_slot_bits_override_changes_the_backend_not_the_results() {
+    fn wheel_slot_bits_override_changes_the_op_mix_not_the_results() {
         let (g, ids) = chain_graph();
         let g = Arc::new(g);
         let mut template = SimTemplate::new(Arc::clone(&g), BgpConfig::default());
@@ -1011,17 +1004,17 @@ mod tests {
             sim.churn_mut().set_enabled(true);
             sim.originate(ids[4], P);
             sim.run_to_quiescence().unwrap();
-            (sim.queue_backend(), sim.churn().total(), sim.now())
+            (sim.cost_counts(), sim.churn().total(), sim.now())
         };
-        let (default_backend, churn_default, now_default) = run(&template);
-        assert!(matches!(default_backend, QueueBackend::Wheel { .. }));
+        let (ops_default, churn_default, now_default) = run(&template);
         template.set_wheel_slot_bits(Some(4));
-        let (coarse_backend, churn_coarse, now_coarse) = run(&template);
-        assert_eq!(coarse_backend, QueueBackend::Wheel { slot_bits: 4 });
-        // Pop order is backend-invariant, so the simulation results are
-        // too — only the op-count mix (cascades vs comparisons) moves.
+        let (ops_coarse, churn_coarse, now_coarse) = run(&template);
+        // Pop order is granularity-invariant, so the simulation results
+        // are too — only the op-count mix (cascades vs comparisons) moves.
         assert_eq!(churn_default, churn_coarse);
         assert_eq!(now_default, now_coarse);
+        assert_eq!(ops_default.queue_pops, ops_coarse.queue_pops);
+        assert_ne!(ops_default.queue_cascades, ops_coarse.queue_cascades);
     }
 
     #[test]

@@ -179,7 +179,7 @@ fn workspace_is_clean_under_detflow() {
         a.functions,
         a.entry_points
     );
-    assert_eq!(a.hot_roots, 6, "a [hot-paths] root no longer matches any function");
+    assert_eq!(a.hot_roots, 4, "a [hot-paths] root no longer matches any function");
     assert!(a.writers >= 5, "writer detection looks broken: {}", a.writers);
     let rendered: Vec<String> = a.diagnostics.iter().map(|d| d.render()).collect();
     assert!(

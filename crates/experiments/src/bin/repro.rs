@@ -18,13 +18,15 @@
 //!                  (median of 5 after a warmup), peak RSS, per-cell
 //!                  exact op-count and allocator columns, and fitted
 //!                  per-op-class scaling exponents (cost_exponents)
-//!   perf           run cells and compare their exact op counts against
-//!                  checked-in baselines (results/perf-baselines/):
-//!                    --check          gate: exit 1 on any drift
-//!                    --bless          (re)record the baselines instead
+//!   perf           run cells and compare their exact op counts and
+//!                  cost-model hash against the blessed ledger records
+//!                  (results/ledger/blessed.jsonl):
+//!                    --check          gate: exit 1 on any drift, 2 on a
+//!                                     corrupt or mismatched record
+//!                    --bless          append fresh blessed records instead
 //!                    --perturb <seed> deterministically corrupt one
 //!                                     counter first (CI mutation gate)
-//!                    --baseline-dir <dir>   override the baseline dir
+//!                    --blessed <file> override the blessed ledger
 //!                    --costmodel-out <file> also write costmodel.json
 //!   profile        run one observed cell and print a phase profile
 //!                  (see --scenario, --cell-n, --check)
@@ -140,7 +142,7 @@ fn usage() -> ! {
          [--metrics-out FILE] [--trace-out FILE] [--trace-sample N] \
          [--scenario S] [--cell-n N] [--event-limit N] [--bin-us N] \
          [--report-out FILE] [--timeseries-out FILE] [--check] \
-         [--bless] [--perturb SEED] [--wheel-bits N] [--baseline-dir DIR] [--costmodel-out FILE] \
+         [--bless] [--perturb SEED] [--wheel-bits N] [--blessed FILE] [--costmodel-out FILE] \
          [--ledger FILE] [--no-ledger] [--ledger-rev REV] [--trend-out FILE] \
          [--window K] [--band PCT] [--exp-band X]\n\
          exit codes: 0 = ok, 1 = failed run or --check, 2 = usage error \
@@ -181,15 +183,15 @@ struct Options {
     timeseries_out: std::path::PathBuf,
     /// `profile`/`report`/`perf`: fail the process if the check fails.
     check: bool,
-    /// `perf`: (re)record the baselines instead of checking.
+    /// `perf`: append blessed records instead of checking.
     bless: bool,
     /// `perf`: deterministically corrupt one counter before comparison.
     perturb: Option<u64>,
     /// `perf`: run on a timing wheel with this slot granularity (the
     /// tick-granularity mutation axis; see `PerfConfig::wheel_slot_bits`).
     wheel_bits: Option<u32>,
-    /// `perf`: where the checked-in baselines live.
-    baseline_dir: std::path::PathBuf,
+    /// `perf`: the blessed-record ledger.
+    blessed: std::path::PathBuf,
     /// `perf`: also write the measured cost model here.
     costmodel_out: Option<std::path::PathBuf>,
     /// The append-only run ledger; `None` disables recording.
@@ -228,7 +230,7 @@ fn parse_args() -> Options {
     let mut bless = false;
     let mut perturb = None;
     let mut wheel_bits = None;
-    let mut baseline_dir = std::path::PathBuf::from("results/perf-baselines");
+    let mut blessed = std::path::PathBuf::from("results/ledger/blessed.jsonl");
     let mut costmodel_out = None;
     let mut ledger = Some(std::path::PathBuf::from("results/ledger/runs.jsonl"));
     let mut ledger_rev = None;
@@ -355,9 +357,9 @@ fn parse_args() -> Options {
                 let v = args.next().unwrap_or_else(|| usage());
                 perturb = Some(v.parse().unwrap_or_else(|_| usage()));
             }
-            "--baseline-dir" => {
+            "--blessed" => {
                 let v = args.next().unwrap_or_else(|| usage());
-                baseline_dir = std::path::PathBuf::from(v);
+                blessed = std::path::PathBuf::from(v);
             }
             "--costmodel-out" => {
                 let v = args.next().unwrap_or_else(|| usage());
@@ -431,7 +433,7 @@ fn parse_args() -> Options {
         bless,
         perturb,
         wheel_bits,
-        baseline_dir,
+        blessed,
         costmodel_out,
         ledger,
         ledger_rev,
@@ -675,20 +677,20 @@ fn run_bench(
 }
 
 /// `repro perf`: check (or `--bless`) the exact op counts of every sweep
-/// size against the checked-in baselines. Returns the process exit code.
+/// size against the blessed ledger records. Returns the process exit code.
 fn run_perf_target(opts: &Options) -> i32 {
     let jobs = bgpscale_simkernel::pool::effective_jobs(opts.jobs).max(1);
     let mut exit = 0i32;
     let rev = ledger_rev(opts);
     let mut records = Vec::new();
-    for (i, &n) in opts.cfg.sizes.iter().enumerate() {
+    for &n in &opts.cfg.sizes {
         let cfg = perf::PerfConfig {
             scenario: opts.profile_scenario,
             n,
             events: opts.cfg.events,
             seed: opts.cfg.seed,
             jobs,
-            baseline_dir: opts.baseline_dir.clone(),
+            blessed: opts.blessed.clone(),
             perturb: opts.perturb,
             wheel_slot_bits: opts.wheel_bits,
         };
@@ -701,11 +703,18 @@ fn run_perf_target(opts: &Options) -> i32 {
             if opts.bless { "bless" } else { "check" }
         );
         let measurement = if opts.bless {
-            match perf::bless_cell(&cfg) {
+            match perf::bless_cell(&cfg, &rev) {
                 Ok(m) => m,
-                Err(e) => {
+                Err(e @ LedgerError::Io(_)) => {
                     eprintln!("perf: blessing n={n} failed: {e}");
-                    return 1;
+                    return EXIT_FAIL;
+                }
+                Err(e) => {
+                    eprintln!(
+                        "perf: blessing n={n} failed: {e} (inspect or move {} aside)",
+                        cfg.blessed.display()
+                    );
+                    return EXIT_USAGE;
                 }
             }
         } else {
@@ -749,7 +758,6 @@ fn run_perf_target(opts: &Options) -> i32 {
             }
             log!(Info, "perf: wrote {}", path.display());
         }
-        let _ = i;
     }
     if exit != 2 {
         append_ledger(opts, &records);

@@ -1,41 +1,50 @@
 //! `repro perf`: the CI perf-regression gate over the exact cost model.
 //!
-//! A **baseline** is a small checked-in JSON file under
-//! `results/perf-baselines/` holding the total per-op-class counts of one
-//! experiment cell (`<scenario>_n<N>.json`). Because the counts are exact
-//! integers and a pure function of `(scenario, n, events, seed)`, the
-//! comparison policy is two-tiered:
+//! A **blessed record** is an ordinary run-ledger line (`obs::ledger`)
+//! of kind `perf`, kept in its own append-only file
+//! (`results/ledger/blessed.jsonl` by default). `--bless` appends the
+//! measured cell with `ledger::append_records`; `--check` reads the file
+//! with `ledger::read_ledger` and compares the cell against the newest
+//! `perf` record of the same scenario and size. Because the counts are
+//! exact integers and a pure function of `(scenario, n, mode, seed,
+//! events)`, the comparison policy is two-tiered:
 //!
-//! * **deterministic op counts — exact equality.** Any drift is a real
-//!   behavior change (more decision runs, more heap work, …) and must be
-//!   either fixed or consciously re-blessed with `repro perf --bless`.
-//! * **wall-clock seconds — a wide multiplicative band** (×/÷
+//! * **deterministic fields — exact equality.** Every op count and the
+//!   `costmodel.json` content hash (which pins the per-event, per-phase
+//!   breakdown). Any drift is a real behavior change (more decision runs,
+//!   more queue work, …) and must be either fixed or consciously
+//!   re-blessed with `repro perf --bless`.
+//! * **wall-clock time — a wide multiplicative band** (×/÷
 //!   [`WALL_BAND`]). Wall time is recorded for context only; the band
 //!   exists to catch pathological blowups (an accidental O(n²) that the
 //!   op counts would also catch) without flaking on slow CI machines.
 //!
 //! Exit codes follow the repo-wide convention (`detlint --check`,
 //! `repro --check`): 0 = pass, 1 = check failed, 2 = usage/config error
-//! (baseline was recorded for different cell coordinates).
+//! (a corrupt blessed file, or a record blessed for other cell
+//! coordinates or another schema).
 //!
 //! `--perturb <seed>` deterministically inflates one op-class count
 //! before comparison — CI uses it as a mutation gate proving the check
 //! actually fails (exit exactly 1) when counts drift.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use bgpscale_core::{run_experiment_with_cost, ExperimentConfig};
 use bgpscale_obs::costmodel::OpCounts;
-use bgpscale_obs::{log, CostModel, SCHEMA_VERSION};
+use bgpscale_obs::ledger::{append_records, read_ledger, LedgerError, LedgerRecord, RunKind};
+use bgpscale_obs::{log, CostModel};
 use bgpscale_simkernel::rng::hash64_pair;
 use bgpscale_simkernel::Stopwatch;
 use bgpscale_topology::GrowthScenario;
 
+use crate::trend::record_from_perf;
+
 /// Wall-time sanity band: measured wall time must lie within
-/// `[baseline / WALL_BAND, baseline · WALL_BAND]`. Deliberately huge —
+/// `[blessed / WALL_BAND, blessed · WALL_BAND]`. Deliberately huge —
 /// the exact op counts are the real gate; this only catches order-of-
 /// magnitude blowups.
-pub const WALL_BAND: f64 = 25.0;
+pub const WALL_BAND: u64 = 25;
 
 /// One perf cell to check or bless.
 #[derive(Clone, Debug)]
@@ -45,8 +54,8 @@ pub struct PerfConfig {
     pub events: usize,
     pub seed: u64,
     pub jobs: usize,
-    /// Directory holding the checked-in baselines.
-    pub baseline_dir: PathBuf,
+    /// The blessed-record ledger (`--blessed`).
+    pub blessed: PathBuf,
     /// When `Some(seed)`, deterministically perturb one measured op count
     /// before comparison (the CI mutation gate).
     pub perturb: Option<u64>,
@@ -54,7 +63,7 @@ pub struct PerfConfig {
     /// granularity instead of the default. A second mutation-gate axis:
     /// pop order (and thus every simulation result) is granularity-
     /// invariant, but the queue op-count mix is not, so a perturbed run
-    /// against a default-granularity baseline must exit exactly 1.
+    /// against a default-granularity record must exit exactly 1.
     pub wheel_slot_bits: Option<u32>,
 }
 
@@ -62,9 +71,8 @@ pub struct PerfConfig {
 #[derive(Clone, Debug)]
 pub struct PerfMeasurement {
     pub ops: OpCounts,
-    pub phase_grand_totals: [u64; bgpscale_obs::PHASES],
     pub wall_s: f64,
-    /// The full model, for `--costmodel-out`.
+    /// The full model, for `--costmodel-out` and the record's hash.
     pub cost: CostModel,
 }
 
@@ -73,18 +81,14 @@ pub struct PerfMeasurement {
 pub enum PerfVerdict {
     /// Exit 0.
     Pass,
-    /// Exit 1 — counts drifted, wall time blew the band, or the baseline
-    /// file is missing (the message carries the `--bless` hint).
+    /// Exit 1 — counts or the cost-model hash drifted, wall time blew the
+    /// band, or no record is blessed (the message carries the `--bless`
+    /// hint).
     Fail(Vec<String>),
-    /// Exit 2 — the baseline exists but was recorded for different cell
-    /// coordinates or a different schema; comparing would be meaningless.
+    /// Exit 2 — the blessed file is corrupt, or its record was blessed
+    /// for different cell coordinates or another schema; comparing would
+    /// be meaningless.
     ConfigError(String),
-}
-
-/// `<dir>/<scenario-lowercase>_n<N>.json`.
-pub fn baseline_path(dir: &Path, scenario: GrowthScenario, n: usize) -> PathBuf {
-    let name = scenario.to_string().to_lowercase().replace('-', "_");
-    dir.join(format!("{name}_n{n}.json"))
 }
 
 fn cell_config(cfg: &PerfConfig) -> ExperimentConfig {
@@ -104,21 +108,11 @@ pub fn measure(cfg: &PerfConfig) -> PerfMeasurement {
     let started = Stopwatch::start();
     let (_report, cost) = run_experiment_with_cost(&cell_config(cfg), cfg.jobs.max(1));
     let wall_s = started.elapsed_secs_f64();
-    let totals = cost.phase_totals();
-    let mut phase_grand_totals = [0u64; bgpscale_obs::PHASES];
-    for (slot, phase) in phase_grand_totals.iter_mut().zip(&totals) {
-        *slot = phase.grand_total();
-    }
     let mut ops = cost.total();
     if let Some(seed) = cfg.perturb {
         perturb_ops(&mut ops, seed);
     }
-    PerfMeasurement {
-        ops,
-        phase_grand_totals,
-        wall_s,
-        cost,
-    }
+    PerfMeasurement { ops, wall_s, cost }
 }
 
 /// Deterministically inflates one op-class count: class index and bump
@@ -133,148 +127,65 @@ fn perturb_ops(ops: &mut OpCounts, seed: u64) {
     log!(Info, "perf: perturbing {class} by +{bump} (seed {seed})");
 }
 
-/// Renders the baseline document for one measured cell. Flat keys so the
-/// checker can re-read it without a JSON parser dependency.
-pub fn baseline_json(cfg: &PerfConfig, m: &PerfMeasurement) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-    s.push_str(&format!("  \"scenario\": \"{}\",\n", cfg.scenario));
-    s.push_str(&format!("  \"n\": {},\n", cfg.n));
-    s.push_str(&format!("  \"events\": {},\n", cfg.events));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!(
-        "  \"wall_band\": {WALL_BAND},\n  \"wall_s\": {:.6},\n",
-        m.wall_s
-    ));
-    s.push_str("  \"ops\": {\n");
-    let fields = m.ops.fields();
-    for (i, (name, value)) in fields.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{name}\": {value}{}\n",
-            if i + 1 < fields.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  },\n");
-    s.push_str(&format!(
-        "  \"phase_grand_totals\": [{}]\n",
-        m.phase_grand_totals
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str("}\n");
-    s
+fn hex(hash: Option<u64>) -> String {
+    hash.map_or_else(|| "none".to_string(), |h| format!("{h:016x}"))
 }
 
-/// Extracts `"key": <integer>` from the flat baseline document.
-fn json_u64(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": <float>`.
-fn json_f64(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": "<string>"`.
-fn json_str<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": \"");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    rest.split('"').next()
-}
-
-/// Extracts `"key": [a, b, c]` of integers.
-fn json_u64_array(doc: &str, key: &str) -> Option<Vec<u64>> {
-    let needle = format!("\"{key}\": [");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest.find(']')?;
-    rest[..end]
-        .split(',')
-        .map(|v| v.trim().parse().ok())
-        .collect()
-}
-
-/// Compares a measurement against the baseline document.
-pub fn compare(cfg: &PerfConfig, m: &PerfMeasurement, baseline: &str) -> PerfVerdict {
+/// Compares a measured record against the blessed records: the newest
+/// `perf` record with the same scenario and size is the baseline.
+pub fn compare(measured: &LedgerRecord, blessed: &[LedgerRecord]) -> PerfVerdict {
+    let Some(base) = blessed
+        .iter()
+        .rev()
+        .find(|r| r.kind == RunKind::Perf && r.scenario == measured.scenario && r.n == measured.n)
+    else {
+        return PerfVerdict::Fail(vec![format!(
+            "no blessed perf record for {} n={}; record one with `repro perf --bless`",
+            measured.scenario, measured.n
+        )]);
+    };
     // Coordinate checks first: a mismatch means the comparison itself is
     // ill-posed (exit 2), not that performance regressed.
-    match json_u64(baseline, "schema_version") {
-        Some(v) if v == SCHEMA_VERSION as u64 => {}
-        other => {
-            return PerfVerdict::ConfigError(format!(
-                "baseline schema_version {other:?} != {SCHEMA_VERSION}"
-            ))
-        }
-    }
-    for (key, want) in [
-        ("n", cfg.n as u64),
-        ("events", cfg.events as u64),
-        ("seed", cfg.seed),
-    ] {
-        match json_u64(baseline, key) {
-            Some(v) if v == want => {}
-            other => {
-                return PerfVerdict::ConfigError(format!(
-                    "baseline {key} = {other:?}, this run uses {want} — \
-                     re-bless or fix the invocation"
-                ))
-            }
-        }
-    }
-    let scenario = cfg.scenario.to_string();
-    if json_str(baseline, "scenario") != Some(scenario.as_str()) {
+    if base.schema != measured.schema {
         return PerfVerdict::ConfigError(format!(
-            "baseline scenario {:?} != {scenario}",
-            json_str(baseline, "scenario")
+            "blessed record has schema_version {}, this build writes {} — re-bless",
+            base.schema, measured.schema
+        ));
+    }
+    if base.fingerprint() != measured.fingerprint() {
+        return PerfVerdict::ConfigError(format!(
+            "blessed record is for mode={} seed={} events={}, this run uses \
+             mode={} seed={} events={} — re-bless or fix the invocation",
+            base.mode, base.seed, base.events, measured.mode, measured.seed, measured.events
         ));
     }
 
     let mut failures = Vec::new();
-    // Tier 1: exact op-count equality.
-    for (name, measured) in m.ops.fields() {
-        match json_u64(baseline, name) {
-            Some(expected) if expected == measured => {}
-            Some(expected) => failures.push(format!(
-                "op count drift: {name} = {measured}, baseline {expected} \
-                 ({:+})",
-                measured as i128 - expected as i128
-            )),
-            None => failures.push(format!("baseline is missing op class {name}")),
-        }
-    }
-    match json_u64_array(baseline, "phase_grand_totals") {
-        Some(expected) if expected == m.phase_grand_totals => {}
-        other => failures.push(format!(
-            "phase grand totals {:?} != baseline {other:?}",
-            m.phase_grand_totals
-        )),
-    }
-    // Tier 2: wall-time sanity band (wall-side, intentionally loose).
-    if let Some(base_wall) = json_f64(baseline, "wall_s") {
-        if base_wall > 0.0
-            && (m.wall_s > base_wall * WALL_BAND || m.wall_s < base_wall / WALL_BAND)
-        {
+    // Tier 1: exact equality of every deterministic field.
+    for ((name, value), (_, expected)) in measured.ops.fields().iter().zip(base.ops.fields()) {
+        if *value != expected {
             failures.push(format!(
-                "wall time {:.3}s outside ×/÷{WALL_BAND} band of baseline {base_wall:.3}s",
-                m.wall_s
+                "op count drift: {name} = {value}, blessed {expected} ({:+})",
+                i128::from(*value) - i128::from(expected)
             ));
         }
+    }
+    if measured.artifacts.costmodel != base.artifacts.costmodel {
+        failures.push(format!(
+            "costmodel hash {} != blessed {}",
+            hex(measured.artifacts.costmodel),
+            hex(base.artifacts.costmodel)
+        ));
+    }
+    // Tier 2: wall-time sanity band (wall-side, intentionally loose).
+    let (wall, base_wall) = (measured.wall.wall_us, base.wall.wall_us);
+    if base_wall > 0
+        && (wall > base_wall.saturating_mul(WALL_BAND)
+            || wall.saturating_mul(WALL_BAND) < base_wall)
+    {
+        failures.push(format!(
+            "wall time {wall}µs outside ×/÷{WALL_BAND} band of blessed {base_wall}µs"
+        ));
     }
     if failures.is_empty() {
         PerfVerdict::Pass
@@ -283,27 +194,39 @@ pub fn compare(cfg: &PerfConfig, m: &PerfMeasurement, baseline: &str) -> PerfVer
     }
 }
 
-/// Runs the full check for one cell: measure, load the baseline, compare.
+/// Runs the full check for one cell: measure, read the blessed records,
+/// compare.
 pub fn check_cell(cfg: &PerfConfig) -> (PerfVerdict, PerfMeasurement) {
     let m = measure(cfg);
-    let path = baseline_path(&cfg.baseline_dir, cfg.scenario, cfg.n);
-    let verdict = match std::fs::read_to_string(&path) {
-        Ok(doc) => compare(cfg, &m, &doc),
-        Err(e) => PerfVerdict::Fail(vec![format!(
-            "no baseline at {} ({e}); record one with `repro perf --bless`",
-            path.display()
-        )]),
+    let verdict = match read_ledger(&cfg.blessed) {
+        // The revision plays no part in the comparison.
+        Ok(blessed) => compare(&record_from_perf(cfg, &m, ""), &blessed),
+        Err(e @ LedgerError::Io(_)) => PerfVerdict::Fail(vec![e.to_string()]),
+        Err(e) => PerfVerdict::ConfigError(format!(
+            "{e} (inspect or move {} aside)",
+            cfg.blessed.display()
+        )),
     };
     (verdict, m)
 }
 
-/// Measures the cell and writes its baseline (the `--bless` flow).
-pub fn bless_cell(cfg: &PerfConfig) -> std::io::Result<PerfMeasurement> {
+/// Measures the cell and appends its record to the blessed ledger (the
+/// `--bless` flow).
+///
+/// # Errors
+/// Any [`LedgerError`] from `append_records` — including a corrupt
+/// blessed file, which it refuses to append to.
+pub fn bless_cell(cfg: &PerfConfig, git_rev: &str) -> Result<PerfMeasurement, LedgerError> {
     let m = measure(cfg);
-    let path = baseline_path(&cfg.baseline_dir, cfg.scenario, cfg.n);
-    std::fs::create_dir_all(&cfg.baseline_dir)?;
-    std::fs::write(&path, baseline_json(cfg, &m))?;
-    log!(Info, "perf: blessed {}", path.display());
+    let outcome = append_records(&cfg.blessed, &[record_from_perf(cfg, &m, git_rev)])?;
+    log!(
+        Info,
+        "perf: blessed {} n={} in {} ({} deduped)",
+        cfg.scenario,
+        cfg.n,
+        cfg.blessed.display(),
+        outcome.deduped
+    );
     Ok(m)
 }
 
@@ -311,103 +234,135 @@ pub fn bless_cell(cfg: &PerfConfig) -> std::io::Result<PerfMeasurement> {
 mod tests {
     use super::*;
 
-    fn tiny(dir: &Path) -> PerfConfig {
+    fn tiny(blessed: PathBuf) -> PerfConfig {
         PerfConfig {
             scenario: GrowthScenario::Baseline,
             n: 150,
             events: 2,
             seed: 7,
             jobs: 2,
-            baseline_dir: dir.to_path_buf(),
+            blessed,
             perturb: None,
             wheel_slot_bits: None,
         }
     }
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("bgpscale_perf_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmpfile(tag: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("bgpscale_perf_{tag}_{}.jsonl", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    /// A measured record of the tiny cell, with no file involved.
+    fn tiny_record() -> LedgerRecord {
+        let cfg = tiny(PathBuf::new());
+        record_from_perf(&cfg, &measure(&cfg), "r")
+    }
+
+    fn assert_config_error(verdict: PerfVerdict, needle: &str) {
+        match verdict {
+            PerfVerdict::ConfigError(msg) => assert!(msg.contains(needle), "{msg}"),
+            v => panic!("expected a config error mentioning {needle:?}, got {v:?}"),
+        }
+    }
+
+    fn assert_fails_with(verdict: PerfVerdict, needle: &str) {
+        match verdict {
+            PerfVerdict::Fail(msgs) => {
+                assert!(msgs.iter().any(|m| m.contains(needle)), "{msgs:?}")
+            }
+            v => panic!("expected a failure mentioning {needle:?}, got {v:?}"),
+        }
     }
 
     #[test]
     fn bless_then_check_passes() {
-        let dir = tmpdir("roundtrip");
-        let cfg = tiny(&dir);
-        bless_cell(&cfg).unwrap();
+        let path = tmpfile("roundtrip");
+        let cfg = tiny(path.clone());
+        bless_cell(&cfg, "r1").unwrap();
+        let blessed = read_ledger(&path).unwrap();
+        assert_eq!(blessed.len(), 1);
+        assert_eq!(blessed[0].kind, RunKind::Perf);
+        assert!(blessed[0].artifacts.costmodel.is_some());
         let (verdict, m) = check_cell(&cfg);
-        assert_eq!(verdict, PerfVerdict::Pass, "fresh baseline must pass");
+        assert_eq!(verdict, PerfVerdict::Pass, "fresh record must pass");
         assert!(m.ops.grand_total() > 0);
-        assert!(m.phase_grand_totals.iter().all(|&t| t > 0));
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn perturbation_fails_the_check() {
-        let dir = tmpdir("perturb");
-        let cfg = tiny(&dir);
-        bless_cell(&cfg).unwrap();
+        let path = tmpfile("perturb");
+        bless_cell(&tiny(path.clone()), "r1").unwrap();
         let perturbed = PerfConfig {
             perturb: Some(1),
-            ..tiny(&dir)
+            ..tiny(path.clone())
         };
-        let (verdict, _) = check_cell(&perturbed);
-        match verdict {
-            PerfVerdict::Fail(msgs) => {
-                assert!(
-                    msgs.iter().any(|m| m.contains("op count drift")),
-                    "{msgs:?}"
-                );
-            }
-            other => panic!("perturbed check must fail, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        assert_fails_with(check_cell(&perturbed).0, "op count drift");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn missing_baseline_fails_with_bless_hint() {
-        let dir = tmpdir("missing");
+    fn missing_record_fails_with_bless_hint() {
+        let path = tmpfile("missing");
         let cfg = PerfConfig {
             n: 175,
-            ..tiny(&dir)
+            ..tiny(path)
         };
-        let (verdict, _) = check_cell(&cfg);
-        match verdict {
-            PerfVerdict::Fail(msgs) => {
-                assert!(msgs[0].contains("--bless"), "{msgs:?}");
-            }
-            other => panic!("missing baseline must fail, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        assert_fails_with(check_cell(&cfg).0, "--bless");
     }
 
     #[test]
-    fn coordinate_mismatch_is_a_config_error() {
-        let dir = tmpdir("coords");
-        let cfg = tiny(&dir);
-        let m = measure(&cfg);
-        let doc = baseline_json(&cfg, &m);
-        let other = PerfConfig { seed: 8, ..tiny(&dir) };
-        match compare(&other, &m, &doc) {
-            PerfVerdict::ConfigError(msg) => assert!(msg.contains("seed"), "{msg}"),
-            v => panic!("seed mismatch must be a config error, got {v:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
+    fn coordinate_or_schema_mismatch_is_a_config_error() {
+        let measured = tiny_record();
+        let mut other_events = measured.clone();
+        other_events.events += 1;
+        assert_config_error(compare(&measured, &[other_events]), "events");
+        let mut other_seed = measured.clone();
+        other_seed.seed += 1;
+        assert_config_error(compare(&measured, &[other_seed]), "seed");
+        let mut other_mode = measured.clone();
+        other_mode.mode = "WRATE".to_string();
+        assert_config_error(compare(&measured, &[other_mode]), "mode");
+        let mut other_schema = measured.clone();
+        other_schema.schema = 1;
+        assert_config_error(compare(&measured, &[other_schema]), "schema_version");
     }
 
     #[test]
-    fn baseline_document_is_flat_and_versioned() {
-        let dir = tmpdir("doc");
-        let cfg = tiny(&dir);
-        let m = measure(&cfg);
-        let doc = baseline_json(&cfg, &m);
-        assert!(doc.starts_with("{\n  \"schema_version\": "));
-        for name in OpCounts::field_names() {
-            assert!(json_u64(&doc, name).is_some(), "missing {name}");
-        }
-        assert_eq!(json_u64_array(&doc, "phase_grand_totals").unwrap().len(), 3);
-        assert_eq!(json_str(&doc, "scenario"), Some("BASELINE"));
-        std::fs::remove_dir_all(&dir).ok();
+    fn corrupted_blessed_line_is_a_config_error() {
+        let path = tmpfile("corrupt");
+        let cfg = tiny(path.clone());
+        bless_cell(&cfg, "r1").unwrap();
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("{\"schema_version\":2,\"det\":garbage\n");
+        std::fs::write(&path, text).unwrap();
+        assert_config_error(check_cell(&cfg).0, "corrupt");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn same_ops_with_another_costmodel_hash_fails() {
+        let measured = tiny_record();
+        let mut base = measured.clone();
+        base.artifacts.costmodel = base.artifacts.costmodel.map(|h| h ^ 1);
+        assert_eq!(base.ops, measured.ops);
+        assert_fails_with(compare(&measured, &[base]), "costmodel hash");
+    }
+
+    #[test]
+    fn newest_record_is_the_baseline_and_wall_band_applies() {
+        let measured = tiny_record();
+        let mut stale = measured.clone();
+        stale.ops.deliveries += 1;
+        let mut slow = measured.clone();
+        slow.wall.wall_us = measured.wall.wall_us.max(1) * (WALL_BAND + 1);
+        assert_eq!(
+            compare(&measured, &[stale, measured.clone()]),
+            PerfVerdict::Pass
+        );
+        assert_fails_with(compare(&measured, &[slow]), "wall time");
     }
 
     #[test]

@@ -921,7 +921,7 @@ mod tests {
             events: 2,
             seed: 7,
             jobs: 1,
-            baseline_dir: std::path::PathBuf::from("/nonexistent"),
+            blessed: std::path::PathBuf::from("/nonexistent"),
             perturb: None,
             wheel_slot_bits: None,
         };

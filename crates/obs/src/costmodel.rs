@@ -2,7 +2,7 @@
 //! counts attributed per C-event and per convergence phase.
 //!
 //! The simulation is bit-identical for any `--jobs` level, which makes
-//! every *operation count* — heap sifts, decision-process runs, route
+//! every *operation count* — queue cascades, decision-process runs, route
 //! comparisons, MRAI timer arms — an exact, machine-independent quantity.
 //! This module collects those counts into a [`CostModel`] whose JSON
 //! serialization (`costmodel.json`) is byte-identical across worker
@@ -11,8 +11,8 @@
 //!
 //! Three layers feed the model:
 //!
-//! * `simkernel::queue` counts event-queue pushes, pops, sift moves,
-//!   `(time, seq)` comparisons and timing-wheel cascades;
+//! * `simkernel::queue` counts event-queue pushes, pops, due-list moves
+//!   and `seq` comparisons, and timing-wheel cascades;
 //! * `bgpscale-bgp` counts decision-process runs, route comparisons,
 //!   Adj-RIB-out writes and AS-path intern hits vs misses;
 //! * `bgpscale-core` counts message deliveries and MRAI arm/fire/coalesce
@@ -43,10 +43,11 @@ pub struct OpCounts {
     pub queue_pushes: u64,
     /// Events popped off the future-event list.
     pub queue_pops: u64,
-    /// Element moves during heap sift-up/sift-down (the "decrease"-class
-    /// restructuring work of the priority queue).
+    /// Due-list insertion shifts of the event queue. Structurally zero on
+    /// the timing wheel (buckets fill in `seq` order); the class stays
+    /// because ledger op classes are append-only.
     pub queue_decreases: u64,
-    /// `(time, seq)` key comparisons performed by the heap.
+    /// `seq` comparisons of the event queue's due-list insertion sort.
     pub queue_comparisons: u64,
     /// BGP decision-process runs (one per `reevaluate` of a prefix).
     pub decision_runs: u64,
@@ -68,7 +69,7 @@ pub struct OpCounts {
     /// while an MRAI timer was running (rate-limiting coalescing).
     pub mrai_coalesced: u64,
     /// Timing-wheel cascade re-files (entries moved into finer wheel
-    /// levels during cursor jumps). Always zero on the heap backend.
+    /// levels during cursor jumps).
     pub queue_cascades: u64,
     /// Bytes reserved by the node arenas (session slab + prefix-major
     /// RIB columns + damping entries) at snapshot time, per the fixed

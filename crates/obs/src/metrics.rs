@@ -72,25 +72,17 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn observe(&mut self, value: u64) {
-        self.observe_n(value, 1);
-    }
-
-    /// Records `n` identical samples in O(buckets) — the bulk path used
-    /// when loading pre-aggregated counts (e.g. from `Recorder`'s fixed
-    /// arrays). A no-op when `n == 0`.
-    #[inline]
-    pub fn observe_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
         let idx = self
             .bounds
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(self.bounds.len());
-        self.counts[idx] += n;
-        self.count += n;
-        self.sum += value * n;
+        // `counts` has `bounds.len() + 1` entries, so `idx` is in range.
+        if let Some(c) = self.counts.get_mut(idx) {
+            *c += 1;
+        }
+        self.count += 1;
+        self.sum += value;
         self.max = self.max.max(value);
     }
 
@@ -194,24 +186,18 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Records `value` into histogram `name`, creating it with `bounds`
-    /// on first use. Later calls ignore `bounds` (the first shape wins).
-    pub fn observe(&mut self, name: &str, bounds: &[u64], value: u64) {
-        self.observe_n(name, bounds, value, 1);
-    }
-
-    /// Records `n` identical samples into histogram `name` (see
-    /// [`Histogram::observe_n`]). Creates the histogram with `bounds` on
-    /// first use even when `n == 0`, so a shape is always registered.
-    pub fn observe_n(&mut self, name: &str, bounds: &[u64], value: u64, n: u64) {
-        if !self.histograms.contains_key(name) {
-            self.histograms
-                .insert(name.to_string(), Histogram::new(bounds.to_vec()));
+    /// Folds `h` into histogram `name`, registering its shape when absent
+    /// (so an empty histogram still appears in the serialization).
+    ///
+    /// # Panics
+    /// As [`Histogram::merge`], when `name` exists with other bounds.
+    pub fn add_histogram(&mut self, name: &str, h: &Histogram) {
+        match self.histograms.get_mut(name) {
+            Some(mine) => mine.merge(h),
+            None => {
+                self.histograms.insert(name.to_string(), h.clone());
+            }
         }
-        self.histograms
-            .get_mut(name)
-            .expect("just inserted")
-            .observe_n(value, n);
     }
 
     /// Reads histogram `name`, if present.
@@ -254,12 +240,7 @@ impl MetricsRegistry {
             mine.max = mine.max.max(g.max);
         }
         for (k, h) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(k.clone(), h.clone());
-                }
-            }
+            self.add_histogram(k, h);
         }
     }
 
@@ -328,6 +309,14 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
+    fn hist(bounds: &[u64], samples: &[u64]) -> Histogram {
+        let mut h = Histogram::new(bounds.to_vec());
+        for &v in samples {
+            h.observe(v);
+        }
+        h
+    }
+
     #[test]
     fn histogram_buckets_samples_at_edges() {
         let mut h = Histogram::new(vec![1, 10, 100]);
@@ -365,7 +354,7 @@ mod tests {
         // Same through the registry, and the overflow bucket serializes
         // with the "inf" bound.
         let mut r = MetricsRegistry::new();
-        r.observe("x", &[1, 10], 9_999);
+        r.add_histogram("x", &hist(&[1, 10], &[9_999]));
         assert_eq!(r.histogram("x").unwrap().bucket_counts(), &[0, 0, 1]);
         assert!(r.to_json().contains("[\"inf\", 1]"), "{}", r.to_json());
     }
@@ -410,7 +399,7 @@ mod tests {
             let mut r = MetricsRegistry::new();
             r.inc("c", c);
             r.set_gauge("g", g);
-            r.observe("h", &[10, 100], h);
+            r.add_histogram("h", &hist(&[10, 100], &[h]));
             r
         };
         let parts = [mk(1, 5, 3), mk(2, 9, 30), mk(4, 2, 300)];
@@ -434,8 +423,8 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.inc("b.second", 2);
         r.inc("a.first", 1);
-        r.observe("lens", &[2, 8], 3);
-        r.observe("lens", &[2, 8], 9);
+        r.add_histogram("lens", &hist(&[2, 8], &[3]));
+        r.add_histogram("lens", &hist(&[2, 8], &[9]));
         let j1 = r.to_json();
         let j2 = r.clone().to_json();
         assert_eq!(j1, j2);

@@ -2,9 +2,9 @@
 //!
 //! One `Recorder` observes one simulator instance (one C-event in the
 //! experiment harness). It keeps its hot-path state in plain fields —
-//! fixed arrays, no map lookups per event — and materializes a
-//! [`MetricsRegistry`] only when the run is over, so the metrics-on
-//! overhead stays small (measured by `repro bench`).
+//! counters and fixed-bucket [`Histogram`]s, no map lookups per event —
+//! and materializes a [`MetricsRegistry`] only when the run is over, so
+//! the metrics-on overhead stays small (measured by `repro bench`).
 //!
 //! Everything a `Recorder` captures is a pure function of the simulated
 //! trajectory: counters, integer histograms, and (optionally) sampled
@@ -15,10 +15,10 @@
 use bgpscale_simkernel::SimTime;
 use bgpscale_topology::{AsId, Relationship};
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Histogram, MetricsRegistry};
 use crate::observer::{EventKind, SimObserver, UpdateClass};
 use crate::provenance::{Provenance, RootCauseKind};
-use crate::timeseries::{depth_bucket, TimeSeries, TimeSeriesRecorder, TimeSeriesSpec, DEPTH_BOUNDS};
+use crate::timeseries::{TimeSeries, TimeSeriesRecorder, TimeSeriesSpec, DEPTH_BOUNDS};
 use crate::trace::{TraceBuffer, TraceRecord};
 
 /// Bucket bounds for AS-path lengths (hops).
@@ -49,17 +49,16 @@ pub struct Recorder {
     quiescences: u64,
     last_quiescence_us: u64,
     final_events_processed: u64,
-    path_len_hist: [u64; 7],
-    path_len_sum: u64,
-    path_len_max: u64,
-    flush_hist: [u64; 6],
+    /// Announced AS-path lengths over [`PATH_LEN_BOUNDS`].
+    path_len: Histogram,
+    /// Updates sent per MRAI flush over [`FLUSH_BOUNDS`].
+    flush_batch: Histogram,
     // Provenance accounting (all deliveries, stamped or not).
     prov_stamped: u64,
     prov_unstamped: u64,
     prov_coalesced: u64,
-    prov_depth_hist: [u64; 8],
-    prov_depth_sum: u64,
-    prov_depth_max: u64,
+    /// Causal depth of stamped deliveries over [`DEPTH_BOUNDS`].
+    prov_depth: Histogram,
     /// Stamped deliveries by the *sending* edge's relation
     /// (to_customer / to_peer / to_provider).
     prov_to_rel: [u64; 3],
@@ -76,13 +75,6 @@ fn rel_index(rel: Relationship) -> usize {
         Relationship::Peer => 1,
         Relationship::Provider => 2,
     }
-}
-
-fn bucket(bounds: &[u64], value: u64) -> usize {
-    bounds
-        .iter()
-        .position(|&b| value <= b)
-        .unwrap_or(bounds.len())
 }
 
 impl Recorder {
@@ -116,16 +108,12 @@ impl Recorder {
             quiescences: 0,
             last_quiescence_us: 0,
             final_events_processed: 0,
-            path_len_hist: [0; 7],
-            path_len_sum: 0,
-            path_len_max: 0,
-            flush_hist: [0; 6],
+            path_len: Histogram::new(PATH_LEN_BOUNDS.to_vec()),
+            flush_batch: Histogram::new(FLUSH_BOUNDS.to_vec()),
             prov_stamped: 0,
             prov_unstamped: 0,
             prov_coalesced: 0,
-            prov_depth_hist: [0; 8],
-            prov_depth_sum: 0,
-            prov_depth_max: 0,
+            prov_depth: Histogram::new(DEPTH_BOUNDS.to_vec()),
             prov_to_rel: [0; 3],
             roots_by_kind: [0; 5],
             inbox_peak: 0,
@@ -179,13 +167,13 @@ impl Recorder {
         r.inc("sim.quiescences", self.quiescences);
         r.set_gauge("sim.last_quiescence_us", self.last_quiescence_us);
         r.set_gauge("sim.events_processed", self.final_events_processed);
-        r.set_gauge("messages.path_len_max", self.path_len_max);
-        r.inc("messages.path_len_sum", self.path_len_sum);
+        r.set_gauge("messages.path_len_max", self.path_len.max());
+        r.inc("messages.path_len_sum", self.path_len.sum());
         r.inc("provenance.stamped", self.prov_stamped);
         r.inc("provenance.unstamped", self.prov_unstamped);
         r.inc("provenance.coalesced", self.prov_coalesced);
-        r.inc("provenance.depth_sum", self.prov_depth_sum);
-        r.set_gauge("provenance.depth_max", self.prov_depth_max);
+        r.inc("provenance.depth_sum", self.prov_depth.sum());
+        r.set_gauge("provenance.depth_max", self.prov_depth.max());
         r.inc("provenance.to_customer", self.prov_to_rel[0]);
         r.inc("provenance.to_peer", self.prov_to_rel[1]);
         r.inc("provenance.to_provider", self.prov_to_rel[2]);
@@ -198,31 +186,12 @@ impl Recorder {
         r.inc("provenance.roots", self.roots_by_kind.iter().sum());
         r.set_gauge("sim.inbox_depth_peak", self.inbox_peak);
         r.set_gauge("mrai.armed_peak", self.armed_peak);
-        // Rebuild histograms from the fixed arrays (bounds are compile-
-        // time constants, so every recorder produces mergeable shapes).
-        inject_histogram(&mut r, "messages.path_len", &PATH_LEN_BOUNDS, &self.path_len_hist);
-        inject_histogram(&mut r, "mrai.flush_batch", &FLUSH_BOUNDS, &self.flush_hist);
-        inject_histogram(&mut r, "provenance.depth", &DEPTH_BOUNDS, &self.prov_depth_hist);
+        // Bounds are compile-time constants, so every recorder produces
+        // mergeable shapes, each carrying its true count, sum and max.
+        r.add_histogram("messages.path_len", &self.path_len);
+        r.add_histogram("mrai.flush_batch", &self.flush_batch);
+        r.add_histogram("provenance.depth", &self.prov_depth);
         r
-    }
-}
-
-/// Copies a fixed-array histogram into the registry by bulk-observing a
-/// representative value per bucket: the bound itself for bounded buckets,
-/// last-bound+1 for the overflow bucket. This preserves bucket *counts*
-/// exactly; the histogram's internal sum/max become bucket-edge
-/// approximations, so the true sum/max are recorded by the caller as a
-/// separate counter/gauge. Cost is O(buckets) regardless of sample count,
-/// keeping the fast fixed-array accounting in the hot loop while still
-/// producing a standard mergeable histogram.
-fn inject_histogram(r: &mut MetricsRegistry, name: &str, bounds: &[u64], counts: &[u64]) {
-    for (i, &c) in counts.iter().enumerate() {
-        let representative = if i < bounds.len() {
-            bounds[i]
-        } else {
-            bounds[bounds.len() - 1] + 1
-        };
-        r.observe_n(name, bounds, representative, c);
     }
 }
 
@@ -234,7 +203,7 @@ impl SimObserver for Recorder {
     }
 
     #[inline]
-    // detflow::allow(panic-surface, reason = "histogram arrays are fixed-size and the bucket helpers clamp to the last bin; rel_index enumerates the variants")
+    // detflow::allow(panic-surface, reason = "msgs_by_rel and prov_to_rel are fixed arrays indexed by rel_index, which enumerates the variants")
     fn on_message(
         &mut self,
         _from: AsId,
@@ -251,20 +220,14 @@ impl SimObserver for Recorder {
         match class {
             UpdateClass::Announce => {
                 self.announces += 1;
-                let len = u64::from(path_len.unwrap_or(0));
-                self.path_len_hist[bucket(&PATH_LEN_BOUNDS, len)] += 1;
-                self.path_len_sum += len;
-                self.path_len_max = self.path_len_max.max(len);
+                self.path_len.observe(u64::from(path_len.unwrap_or(0)));
             }
             UpdateClass::Withdraw => self.withdraws += 1,
         }
         self.inbox_peak = self.inbox_peak.max(u64::from(inbox_depth));
         if provenance.is_stamped() {
             self.prov_stamped += 1;
-            let depth = u64::from(provenance.depth());
-            self.prov_depth_hist[depth_bucket(depth)] += 1;
-            self.prov_depth_sum += depth;
-            self.prov_depth_max = self.prov_depth_max.max(depth);
+            self.prov_depth.observe(u64::from(provenance.depth()));
             if provenance.roots().len() > 1 {
                 self.prov_coalesced += 1;
             }
@@ -311,11 +274,10 @@ impl SimObserver for Recorder {
     }
 
     #[inline]
-    // detflow::allow(panic-surface, reason = "flush_hist is fixed-size and bucket clamps to the last bin")
     fn on_mrai_flush(&mut self, node: AsId, sent: u32, now: SimTime) {
         self.mrai_flushes += 1;
         self.mrai_flushed_updates += u64::from(sent);
-        self.flush_hist[bucket(&FLUSH_BOUNDS, u64::from(sent))] += 1;
+        self.flush_batch.observe(u64::from(sent));
         if let Some(t) = &mut self.trace {
             t.offer(|event| TraceRecord {
                 event,
@@ -421,6 +383,55 @@ mod tests {
         assert_eq!(r.gauge("sim.inbox_depth_peak").unwrap().value, 2);
         assert_eq!(r.gauge("mrai.armed_peak").unwrap().value, 5);
         assert_eq!(r.histogram("provenance.depth").unwrap().count(), 1);
+    }
+
+    /// The registry histograms carry the true count, sum and max: they
+    /// agree with the matching counters and gauges.
+    fn assert_histograms_agree(r: &MetricsRegistry) {
+        let path_len = r.histogram("messages.path_len").unwrap();
+        assert_eq!(path_len.count(), r.counter("messages.announce"));
+        assert_eq!(path_len.sum(), r.counter("messages.path_len_sum"));
+        assert_eq!(path_len.max(), r.gauge("messages.path_len_max").unwrap().value);
+        let depth = r.histogram("provenance.depth").unwrap();
+        assert_eq!(depth.count(), r.counter("provenance.stamped"));
+        assert_eq!(depth.sum(), r.counter("provenance.depth_sum"));
+        assert_eq!(depth.max(), r.gauge("provenance.depth_max").unwrap().value);
+        let flush = r.histogram("mrai.flush_batch").unwrap();
+        assert_eq!(flush.count(), r.counter("mrai.flushes"));
+        assert_eq!(flush.sum(), r.counter("mrai.flushed_updates"));
+    }
+
+    #[test]
+    fn histograms_agree_with_counters_and_gauges_through_merges() {
+        let mut merged = MetricsRegistry::new();
+        for event in 0..3u32 {
+            let mut rec = Recorder::new(event);
+            let mut prov = Provenance::root(event);
+            // Depths and path lengths run past the top bucket bounds, and
+            // flush sizes include zero, so a bucket-edge reconstruction
+            // would get sum and max wrong.
+            for hop in 0..(20 + 10 * event) {
+                rec.on_message(
+                    AsId(1),
+                    AsId(2),
+                    Relationship::Customer,
+                    UpdateClass::Announce,
+                    0,
+                    Some(hop % 17),
+                    &prov,
+                    1,
+                    SimTime::from_micros(u64::from(hop)),
+                );
+                rec.on_mrai_flush(AsId(1), hop % 3, SimTime::from_micros(u64::from(hop)));
+                prov = prov.child();
+            }
+            let r = rec.registry();
+            assert_histograms_agree(&r);
+            merged.merge(&r);
+        }
+        assert_histograms_agree(&merged);
+        assert_eq!(merged.gauge("provenance.depth_max").unwrap().value, 39);
+        assert_eq!(merged.gauge("messages.path_len_max").unwrap().value, 16);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! * **A deterministic event queue** ([`EventQueue`]) keyed by
 //!   `(time, sequence number)` so that events scheduled for the same
 //!   instant are delivered in scheduling order, making every run a pure
-//!   function of its inputs. The default backend is a hierarchical
-//!   timing wheel ([`wheel::TimingWheel`]); a binary heap is kept as a
-//!   debug oracle ([`queue::QueueBackend::Heap`]) and both deliver the
-//!   same byte-identical pop sequence.
+//!   function of its inputs. The queue is a hierarchical timing wheel
+//!   with exact operation counts ([`QueueOpCounts`]); its pop order is
+//!   property-tested against a binary-heap oracle in
+//!   `tests/wheel_vs_heap.rs`.
 //! * **Seeded PRNG streams** ([`rng::SplitMix64`], [`rng::Xoshiro256StarStar`])
 //!   implemented locally so that results are bit-for-bit reproducible
 //!   independent of external crate version churn.
@@ -46,13 +46,11 @@ pub mod queue;
 pub mod rng;
 pub mod rss;
 pub mod time;
-pub mod wheel;
 pub mod wallclock; // detlint::allow(wall-clock, reason = "declares the one sanctioned wall-clock module; the module itself is exempt in detlint.toml")
 
 pub use alloc::AllocSnapshot;
 pub use pool::{effective_jobs, run_indexed};
-pub use queue::{EventQueue, QueueBackend, QueueOpCounts};
-pub use wheel::TimingWheel;
+pub use queue::{EventQueue, QueueOpCounts, DEFAULT_SLOT_BITS};
 pub use rng::{hash64_bytes, hash64_pair, Rng, SplitMix64, Xoshiro256StarStar};
 pub use rss::peak_rss_bytes;
 pub use time::{SimDuration, SimTime};

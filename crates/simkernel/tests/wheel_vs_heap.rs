@@ -1,16 +1,50 @@
-//! Property tests pinning the timing wheel to the binary-heap oracle.
+//! Property tests pinning the timing wheel to a binary-heap oracle.
 //!
-//! The artifact byte-identity contract rests on the two queue backends
-//! delivering the *same* `(time, seq)` pop sequence for any trace. The
-//! heap's order is easy to trust (it sorts by the key directly); these
-//! properties drive both backends with identical workloads — including
-//! deliberate same-time bursts and interleaved mid-drain schedules —
-//! and require exact agreement, plus conservation of the wheel's own
-//! op counters (`cascades` included).
+//! The artifact byte-identity contract rests on [`EventQueue`] delivering
+//! the `(time, seq)` pop sequence for any trace. A binary heap keyed by
+//! `(time, seq)` is easy to trust (it sorts by the key directly); these
+//! properties drive the wheel and the heap with identical workloads —
+//! including deliberate same-time bursts and interleaved mid-drain
+//! schedules — and require exact agreement, plus conservation of the
+//! wheel's own op counters (`cascades` included).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
-use bgpscale_simkernel::{EventQueue, QueueBackend, SimDuration};
+use bgpscale_simkernel::{EventQueue, QueueOpCounts, SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// The parity oracle: a min-heap over `(time, seq, event)`. `seq` is
+/// unique, so the event payload never takes part in the ordering.
+#[derive(Default)]
+struct HeapOracle {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    next_seq: u64,
+    now: SimTime,
+}
+
+impl HeapOracle {
+    fn schedule(&mut self, time: SimTime, event: u64) {
+        assert!(time >= self.now, "oracle: event scheduled in the past");
+        self.heap.push(Reverse((time, self.next_seq, event)));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let Reverse((time, _, event)) = self.heap.pop()?;
+        self.now = time;
+        Some((time, event))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+}
 
 /// Drives a wheel (with the given slot width) and a heap through the
 /// same seeded workload, asserting pointwise pop equality throughout.
@@ -19,10 +53,10 @@ fn drive_pair(
     seed: u64,
     script: &[bool],
     horizon: u64,
-) -> (bgpscale_simkernel::QueueOpCounts, u64) {
+) -> (QueueOpCounts, u64) {
     let mut g = Xoshiro256StarStar::new(seed);
-    let mut wheel: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Wheel { slot_bits });
-    let mut heap: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Heap);
+    let mut wheel: EventQueue<u64> = EventQueue::with_slot_bits(slot_bits, 0);
+    let mut heap = HeapOracle::default();
     let mut scheduled = 0u64;
     for &do_pop in script {
         if do_pop {
@@ -116,7 +150,7 @@ proptest! {
 fn wheel_matches_heap_on_mrai_like_load() {
     let mut g = Xoshiro256StarStar::new(0x2008_0612);
     let mut wheel: EventQueue<u64> = EventQueue::new();
-    let mut heap: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Heap);
+    let mut heap = HeapOracle::default();
     for i in 0..3_000u64 {
         // A mix of near deliveries (µs–ms) and far MRAI expiries (~30 s
         // with jitter), like the simulator's steady state.

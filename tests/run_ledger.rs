@@ -15,7 +15,7 @@ fn cell_cfg(jobs: usize) -> PerfConfig {
         events: 2,
         seed: 7,
         jobs,
-        baseline_dir: std::path::PathBuf::from("/nonexistent"),
+        blessed: std::path::PathBuf::from("/nonexistent"),
         perturb: None,
         wheel_slot_bits: None,
     }

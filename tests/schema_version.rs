@@ -4,13 +4,13 @@
 //! and the writers embed it: `metrics.json` (`MetricsRegistry::to_json`),
 //! `costmodel.json` (`CostModel::to_json`), `timeseries.json` (the
 //! `repro report` wrapper), `BENCH_harness.json` (`bench::render_json`),
-//! the perf baselines (`perf::baseline_json`), and every run-ledger line
-//! (`LedgerRecord::to_line`). A writer that forgets
+//! and every run-ledger line (`LedgerRecord::to_line`), including the
+//! blessed perf records `perf::bless_cell` appends. A writer that forgets
 //! the stamp (or stamps a different number) fails here before it can ship
 //! an unversioned artifact.
 
 use bgpscale_experiments::htmlreport::{run_report, ReportConfig};
-use bgpscale_experiments::perf::{baseline_json, measure, PerfConfig};
+use bgpscale_experiments::perf::{bless_cell, measure, PerfConfig};
 use bgpscale_experiments::{bench, RunConfig};
 use bgpscale_obs::{CostModel, MetricsRegistry, OpCounts, SCHEMA_VERSION};
 use bgpscale_topology::GrowthScenario;
@@ -80,7 +80,7 @@ fn ledger_line_is_stamped() {
         events: 2,
         seed: 11,
         jobs: 2,
-        baseline_dir: std::env::temp_dir(),
+        blessed: std::env::temp_dir().join("bgpscale_schema_unused.jsonl"),
         perturb: None,
         wheel_slot_bits: None,
     };
@@ -91,16 +91,23 @@ fn ledger_line_is_stamped() {
 
 #[test]
 fn perf_baseline_is_stamped() {
+    let blessed = std::env::temp_dir().join(format!(
+        "bgpscale_schema_blessed_{}.jsonl",
+        std::process::id()
+    ));
+    std::fs::remove_file(&blessed).ok();
     let cfg = PerfConfig {
         scenario: GrowthScenario::Baseline,
         n: 150,
         events: 2,
         seed: 11,
         jobs: 2,
-        baseline_dir: std::env::temp_dir(),
+        blessed: blessed.clone(),
         perturb: None,
         wheel_slot_bits: None,
     };
-    let m = measure(&cfg);
-    assert_stamped(&baseline_json(&cfg, &m), "perf baseline");
+    bless_cell(&cfg, "testrev").unwrap();
+    let text = std::fs::read_to_string(&blessed).unwrap();
+    std::fs::remove_file(&blessed).ok();
+    assert_stamped(&text, "blessed perf record");
 }
