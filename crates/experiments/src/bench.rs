@@ -32,7 +32,7 @@ use std::sync::Arc;
 use bgpscale_bgp::MraiMode;
 use bgpscale_core::{run_experiment_jobs, run_experiment_observed, ExperimentConfig};
 use bgpscale_obs::costmodel::OpCounts;
-use bgpscale_obs::{log, CostModel, SCHEMA_VERSION};
+use bgpscale_obs::{log, span, CostModel, SCHEMA_VERSION};
 use bgpscale_simkernel::{alloc, peak_rss_bytes, Stopwatch};
 use bgpscale_stats::regression::fit_linear;
 use bgpscale_topology::{GrowthScenario, NodeType};
@@ -127,6 +127,11 @@ pub struct ObserverOverhead {
 pub struct BenchCell {
     pub n: usize,
     pub wall_s: f64,
+    /// Part of `wall_s` spent building the cell: topology generation plus
+    /// the simulator template.
+    pub setup_s: f64,
+    /// Part of `wall_s` spent running the C-events.
+    pub run_events_s: f64,
     pub events_per_s: f64,
     /// Total exact op counts of the cell (integer-only, deterministic).
     pub ops: OpCounts,
@@ -145,6 +150,10 @@ pub struct FrontierCell {
     pub n: usize,
     pub events: usize,
     pub wall_s: f64,
+    /// Topology generation plus template build, seconds (part of `wall_s`).
+    pub setup_s: f64,
+    /// C-event simulation, seconds (part of `wall_s`).
+    pub run_events_s: f64,
     /// Injected C-events per wall second.
     pub events_per_s: f64,
     /// Simulator events (queue pops) per wall second — the throughput
@@ -158,6 +167,17 @@ pub struct FrontierCell {
     pub peak_rss_bytes: Option<u64>,
 }
 
+/// Wall seconds of the setup spans (`generate_topology` +
+/// `build_template`) and of the `run_events` span closed so far on this
+/// thread. A cell runs its setup and its event fan-out on the calling
+/// thread, so the difference across one cell is that cell's split.
+fn phase_secs() -> (f64, f64) {
+    (
+        span::thread_total_secs("generate_topology") + span::thread_total_secs("build_template"),
+        span::thread_total_secs("run_events"),
+    )
+}
+
 /// Runs the frontier cell: Baseline NO-WRATE at `n` with `events`
 /// C-events on one worker.
 pub fn run_frontier(n: usize, events: usize, seed: u64) -> FrontierCell {
@@ -169,18 +189,26 @@ pub fn run_frontier(n: usize, events: usize, seed: u64) -> FrontierCell {
     };
     let mut sw = Sweeper::new(cfg);
     sw.set_jobs(1);
+    let (setup_before, run_before) = phase_secs();
     let started = Stopwatch::start();
     sw.report(GrowthScenario::Baseline, n, MraiMode::NoWrate);
     let wall_s = started.elapsed_secs_f64();
+    let (setup_after, run_after) = phase_secs();
     let ops = sw
         .cost_model(GrowthScenario::Baseline, n, MraiMode::NoWrate)
         .expect("uncached frontier cell always collects a cost model")
         .total();
-    log!(Info, "bench: frontier cell finished in {wall_s:.2}s");
+    let (setup_s, run_events_s) = (setup_after - setup_before, run_after - run_before);
+    log!(
+        Info,
+        "bench: frontier cell finished in {wall_s:.2}s (setup {setup_s:.2}s, run_events {run_events_s:.2}s)"
+    );
     FrontierCell {
         n,
         events,
         wall_s,
+        setup_s,
+        run_events_s,
         events_per_s: events as f64 / wall_s,
         sim_events_per_s: ops.queue_pops as f64 / wall_s,
         ops,
@@ -320,9 +348,11 @@ pub fn run_bench(cfg: &RunConfig, jobs_list: &[usize]) -> BenchOutput {
         let total_started = Stopwatch::start();
         for &n in &cfg.sizes.clone() {
             let alloc_before = alloc::snapshot();
+            let (setup_before, run_before) = phase_secs();
             let cell_started = Stopwatch::start();
             let report = sw.report(GrowthScenario::Baseline, n, MraiMode::NoWrate);
             let wall_s = cell_started.elapsed_secs_f64();
+            let (setup_after, run_after) = phase_secs();
             let alloc_delta = alloc::snapshot()
                 .zip(alloc_before)
                 .map(|(now, before)| now.delta_since(&before));
@@ -333,6 +363,8 @@ pub fn run_bench(cfg: &RunConfig, jobs_list: &[usize]) -> BenchOutput {
                 BenchCell {
                     n,
                     wall_s,
+                    setup_s: setup_after - setup_before,
+                    run_events_s: run_after - run_before,
                     events_per_s: cfg.events as f64 / wall_s,
                     ops: cost.total(),
                     alloc_allocs: alloc_delta.as_ref().map(|d| d.allocs),
@@ -433,6 +465,8 @@ pub fn render_json(cfg: &RunConfig, out: &BenchOutput, git_rev: &str) -> String 
             json.push_str(&format!("    \"n\": {},\n", f.n));
             json.push_str(&format!("    \"events\": {},\n", f.events));
             json.push_str(&format!("    \"wall_s\": {:.6},\n", f.wall_s));
+            json.push_str(&format!("    \"setup_s\": {:.6},\n", f.setup_s));
+            json.push_str(&format!("    \"run_events_s\": {:.6},\n", f.run_events_s));
             json.push_str(&format!("    \"events_per_s\": {:.3},\n", f.events_per_s));
             json.push_str(&format!("    \"sim_events_per_s\": {:.1},\n", f.sim_events_per_s));
             json.push_str(&format!("    \"queue_pops\": {},\n", f.ops.queue_pops));
@@ -505,13 +539,16 @@ pub fn render_json(cfg: &RunConfig, out: &BenchOutput, git_rev: &str) -> String 
         json.push_str("      \"cells\": [\n");
         for (j, c) in run.cells.iter().enumerate() {
             json.push_str(&format!(
-                "        {{ \"n\": {}, \"wall_s\": {:.6}, \"events_per_s\": {:.3}, \
+                "        {{ \"n\": {}, \"wall_s\": {:.6}, \"setup_s\": {:.6}, \"run_events_s\": {:.6}, \
+                 \"events_per_s\": {:.3}, \
                  \"sim_events_per_s\": {:.1}, \
                  \"queue_pushes\": {}, \"queue_pops\": {}, \"queue_comparisons\": {}, \
                  \"deliveries\": {}, \"decision_runs\": {}, \"total_ops\": {}, \
                  \"alloc_allocs\": {}, \"alloc_bytes\": {} }}{}\n",
                 c.n,
                 c.wall_s,
+                c.setup_s,
+                c.run_events_s,
                 c.events_per_s,
                 c.ops.queue_pops as f64 / c.wall_s,
                 c.ops.queue_pushes,
@@ -596,6 +633,32 @@ mod tests {
         // The clamped headline value is never negative.
         assert!(out.overhead.metrics_overhead.pct >= 0.0);
         assert!(out.overhead.trace_overhead.pct >= 0.0);
+    }
+
+    #[test]
+    fn cells_split_wall_time_into_setup_and_run_events() {
+        let cfg = tiny_cfg();
+        let out = run_bench(&cfg, &[1]);
+        let mut cells: Vec<(f64, f64, f64)> = out.runs[0]
+            .cells
+            .iter()
+            .map(|c| (c.setup_s, c.run_events_s, c.wall_s))
+            .collect();
+        let f = run_frontier(200, 2, cfg.seed);
+        cells.push((f.setup_s, f.run_events_s, f.wall_s));
+        for (setup_s, run_events_s, wall_s) in cells {
+            assert!(setup_s > 0.0 && run_events_s > 0.0, "setup {setup_s}, run_events {run_events_s}");
+            assert!(
+                setup_s + run_events_s <= wall_s,
+                "setup {setup_s} + run_events {run_events_s} > wall {wall_s}"
+            );
+        }
+        let mut with_frontier = out;
+        with_frontier.frontier = Some(f);
+        let json = render_json(&cfg, &with_frontier, "testrev");
+        // Two sweep cells plus the frontier block.
+        assert_eq!(json.matches("\"setup_s\": ").count(), 3, "{json}");
+        assert_eq!(json.matches("\"run_events_s\": ").count(), 3, "{json}");
     }
 
     #[test]

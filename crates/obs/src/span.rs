@@ -10,7 +10,12 @@
 //! registry is a mutex over a `BTreeMap`); per-span cost is one lock per
 //! scope exit, so spans belong around *phases* (topology generation, the
 //! event fan-out, the measurement fold), never inside per-event hot loops.
+//!
+//! Each thread also keeps its own totals ([`thread_total_secs`]): a
+//! before/after difference on one thread brackets exactly the spans that
+//! closed on it, whatever other threads record meanwhile.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -46,13 +51,27 @@ fn registry() -> &'static Mutex<BTreeMap<&'static str, SpanStats>> {
     REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
-/// Folds one completed scope into the global profile. Usually called via
-/// the guard's `Drop`, but exposed for manual instrumentation.
+thread_local! {
+    static THREAD_TOTALS: RefCell<BTreeMap<&'static str, u128>> = const { RefCell::new(BTreeMap::new()) };
+}
+
+/// Folds one completed scope into the global profile and the calling
+/// thread's totals. Usually called via the guard's `Drop`, but exposed
+/// for manual instrumentation.
 pub fn record(name: &'static str, elapsed_ns: u128) {
-    let mut map = registry().lock().expect("span registry poisoned");
-    let stats = map.entry(name).or_default();
-    stats.calls += 1;
-    stats.total_ns += elapsed_ns;
+    {
+        let mut map = registry().lock().expect("span registry poisoned");
+        let stats = map.entry(name).or_default();
+        stats.calls += 1;
+        stats.total_ns += elapsed_ns;
+    }
+    THREAD_TOTALS.with(|t| *t.borrow_mut().entry(name).or_default() += elapsed_ns);
+}
+
+/// Total wall time, in seconds, of the `name` spans that closed on the
+/// calling thread. Never reset: callers take differences.
+pub fn thread_total_secs(name: &str) -> f64 {
+    THREAD_TOTALS.with(|t| t.borrow().get(name).copied().unwrap_or(0)) as f64 / 1e9
 }
 
 /// A snapshot of every span recorded so far, in name order.
@@ -147,6 +166,19 @@ mod tests {
         assert!(s.total_ns >= 4_000);
         assert!(s.mean_secs() > 0.0);
         assert!(s.total_secs() > 0.0);
+    }
+
+    #[test]
+    fn thread_totals_accumulate_alongside_the_global_profile() {
+        let before = thread_total_secs("obs_test_thread");
+        record("obs_test_thread", 2_000_000_000);
+        {
+            let _g = crate::span!("obs_test_thread");
+        }
+        let after = thread_total_secs("obs_test_thread");
+        assert!(after - before >= 2.0, "{before} → {after}");
+        assert!(get("obs_test_thread").unwrap().total_ns >= 2_000_000_000);
+        assert_eq!(thread_total_secs("obs_test_never_recorded"), 0.0);
     }
 
     #[test]

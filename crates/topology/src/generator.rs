@@ -23,9 +23,52 @@
 //! Throughout phase 2 the generator enforces the paper's economic
 //! invariant: a node never peers with a node in its own customer tree
 //! (such a link would cannibalize its own transit revenue).
+//!
+//! ## Weighted pools
+//!
+//! Every draw picks from a `Pool`: the T, M or CP nodes added so far.
+//! Nodes are created type by type, so a pool is a contiguous id range and
+//! a member's position is its id minus the pool's first id. A pool keeps
+//! one Fenwick tree of **integer** weights over its positions per distinct
+//! region set of the nodes that draw from it, built the first time that
+//! region set draws. A candidate outside the drawing node's regions
+//! weighs 0; an eligible one weighs its transit degree + 1 (provider
+//! picks), its peering degree + 1 (M–M peering) or 1 (CP peering). When a
+//! link raises a degree, the member's position is updated in each of its
+//! pool's trees, and a new M node is appended to the M pool's trees.
+//!
+//! A draw subtracts its exclusions — the drawing node, its current
+//! neighbours (which include the providers it already chose), and the
+//! candidates the redraw loop rejected — descends the tree, and adds them
+//! back. It costs O((degree + rejections) · log n) rather than a pass over
+//! the whole pool.
+//!
+//! ## Exact-index argument
+//!
+//! The reference draw, `Rng::choose_weighted` over the same weights as
+//! `f64`, takes `target = next_f64() · total` and subtracts the weights in
+//! order until `target` turns negative. All weights are integers far below
+//! 2⁵³, so `total` is exact and every subtraction that leaves `target`
+//! non-negative is exact too: the scan returns the first index whose
+//! prefix sum exceeds `target`. `Fenwick::find` returns that same index
+//! by comparing exact integer prefix sums, `(acc + t[i]) as f64 <= target`,
+//! against the same `target`. The descent consumes one `next_f64` per
+//! draw, exactly like the scan, so the RNG stream and every generated
+//! graph are bit-identical to the scan's (`tests/golden_topology.rs` pins
+//! 128 of them).
+//!
+//! ## Id order
+//!
+//! T nodes come first, then M nodes (each buying only from T and earlier
+//! M nodes), then the stubs; providers are wired as each node is created.
+//! So every provider has a smaller id than its customers. The customer-tree
+//! test in phase 2 relies on it: it walks up the provider lists from the
+//! candidate (`crate::ancestry::Ancestry`) and never explores a node whose id is below
+//! the root's.
 
 use bgpscale_simkernel::rng::{Rng, Xoshiro256StarStar};
 
+use crate::ancestry::Ancestry;
 use crate::graph::AsGraph;
 use crate::params::TopologyParams;
 use crate::scenario::GrowthScenario;
@@ -52,21 +95,239 @@ pub fn generate_with_params(params: &TopologyParams, seed: u64) -> AsGraph {
     b.add_m_nodes();
     b.add_stubs(NodeType::Cp);
     b.add_stubs(NodeType::C);
-    b.add_m_peering();
-    b.add_cp_peering();
+    // Transit links are final: index the provider lists once.
+    let mut ancestry = Ancestry::new(&b.graph);
+    b.add_m_peering(&mut ancestry);
+    b.add_cp_peering(&mut ancestry);
     b.graph
+}
+
+/// A Fenwick (binary indexed) tree of integer weights over pool positions.
+struct Fenwick {
+    /// 1-based: `tree[i]` holds the sum of the `i & -i` weights at
+    /// positions `i - (i & -i) .. i`.
+    tree: Vec<u64>,
+    total: u64,
+}
+
+impl Fenwick {
+    /// A tree over `weights` (positions `0..`), zero-padded to `capacity`
+    /// positions. O(capacity).
+    fn new(weights: impl Iterator<Item = u64>, capacity: usize) -> Fenwick {
+        let mut tree = vec![0u64; capacity + 1];
+        let mut total = 0;
+        for (pos, w) in weights.enumerate() {
+            tree[pos + 1] = w;
+            total += w;
+        }
+        for i in 1..=capacity {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= capacity {
+                tree[parent] += tree[i];
+            }
+        }
+        Fenwick { tree, total }
+    }
+
+    fn add(&mut self, pos: usize, w: u64) {
+        self.total += w;
+        let mut i = pos + 1;
+        while let Some(t) = self.tree.get_mut(i) {
+            *t += w;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    fn sub(&mut self, pos: usize, w: u64) {
+        self.total -= w;
+        let mut i = pos + 1;
+        while let Some(t) = self.tree.get_mut(i) {
+            *t -= w;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The first position whose inclusive prefix sum exceeds `target`,
+    /// for `0 ≤ target < total`: the index `Rng::choose_weighted` returns
+    /// for the same weights and the same draw (see the module docs).
+    fn find(&self, target: f64) -> usize {
+        let len = self.tree.len() - 1;
+        let mut pos = 0;
+        let mut acc = 0u64;
+        let mut step = if len == 0 { 0 } else { 1 << len.ilog2() };
+        while step > 0 {
+            let next = pos + step;
+            if next <= len && (acc + self.tree[next]) as f64 <= target {
+                pos = next;
+                acc += self.tree[next];
+            }
+            step >>= 1;
+        }
+        pos
+    }
+}
+
+/// How a pool weights a candidate that shares a region with the drawing
+/// node (a candidate that shares none weighs 0).
+#[derive(Clone, Copy)]
+enum Weighting {
+    /// Transit degree + 1: preferential attachment for provider picks
+    /// (+1 so degree-zero candidates stay reachable).
+    TransitDegree,
+    /// Peering degree + 1: preferential attachment for M–M peering.
+    PeeringDegree,
+    /// 1: uniform choice for CP peering.
+    Uniform,
+}
+
+impl Weighting {
+    fn weight(self, g: &AsGraph, cand: AsId, regions: RegionSet) -> u64 {
+        if !g.regions(cand).intersects(regions) {
+            return 0;
+        }
+        match self {
+            Weighting::TransitDegree => g.transit_degree(cand) as u64 + 1,
+            Weighting::PeeringDegree => g.peering_degree(cand) as u64 + 1,
+            Weighting::Uniform => 1,
+        }
+    }
+}
+
+/// The members of a pool: `len` nodes with consecutive ids from `first`,
+/// position `i` holding id `first + i`.
+#[derive(Clone, Copy)]
+struct IdRange {
+    first: u32,
+    len: usize,
+}
+
+impl IdRange {
+    fn member(self, pos: usize) -> AsId {
+        AsId(self.first + pos as u32)
+    }
+
+    fn position(self, id: AsId) -> Option<usize> {
+        let pos = id.0.checked_sub(self.first)? as usize;
+        (pos < self.len).then_some(pos)
+    }
+}
+
+/// The candidates of one kind of draw, weighted by `weighting`, with one
+/// [`Fenwick`] tree per region set of the drawing nodes.
+struct Pool {
+    weighting: Weighting,
+    ids: IdRange,
+    capacity: usize,
+    trees: Vec<(RegionSet, Fenwick)>,
+    /// `(position, weight)` pairs zeroed for the current draw.
+    excluded: Vec<(usize, u64)>,
+}
+
+impl Pool {
+    /// A pool over the `len` nodes from id `first`, with room to grow to
+    /// `capacity` members.
+    fn new(weighting: Weighting, first: usize, len: usize, capacity: usize) -> Pool {
+        Pool {
+            weighting,
+            ids: IdRange {
+                first: u32::try_from(first).expect("more than u32::MAX nodes"),
+                len,
+            },
+            capacity,
+            trees: Vec::new(),
+            excluded: Vec::new(),
+        }
+    }
+
+    /// Appends the node with the next id to the pool.
+    fn grow(&mut self, g: &AsGraph) {
+        assert!(self.ids.len < self.capacity, "pool over capacity");
+        let pos = self.ids.len;
+        self.ids.len += 1;
+        let id = self.ids.member(pos);
+        for (regions, tree) in &mut self.trees {
+            let w = self.weighting.weight(g, id, *regions);
+            if w > 0 {
+                tree.add(pos, w);
+            }
+        }
+    }
+
+    /// Raises the weight of member `id` by one after the degree its
+    /// weighting counts grew by one.
+    fn bump(&mut self, g: &AsGraph, id: AsId) {
+        let Some(pos) = self.ids.position(id) else { return };
+        let cand_regions = g.regions(id);
+        for (regions, tree) in &mut self.trees {
+            if cand_regions.intersects(*regions) {
+                tree.add(pos, 1);
+            }
+        }
+    }
+
+    /// Draws a member for `me` with probability proportional to its
+    /// weight, skipping `me`, its current neighbours, and every drawn
+    /// candidate `accept` rejects (each rejection costs one more draw).
+    /// `None` once no eligible weight remains.
+    fn draw(
+        &mut self,
+        g: &AsGraph,
+        rng: &mut Xoshiro256StarStar,
+        me: AsId,
+        mut accept: impl FnMut(AsId) -> bool,
+    ) -> Option<AsId> {
+        let regions = g.regions(me);
+        let t = match self.trees.iter().position(|(r, _)| *r == regions) {
+            Some(t) => t,
+            None => {
+                let tree = Fenwick::new(
+                    (0..self.ids.len).map(|pos| self.weighting.weight(g, self.ids.member(pos), regions)),
+                    self.capacity,
+                );
+                self.trees.push((regions, tree));
+                self.trees.len() - 1
+            }
+        };
+        let (ids, weighting) = (self.ids, self.weighting);
+        let tree = &mut self.trees[t].1;
+        let excluded = &mut self.excluded;
+        let mut exclude = |tree: &mut Fenwick, id: AsId| {
+            let Some(pos) = ids.position(id) else { return };
+            let w = weighting.weight(g, id, regions);
+            if w > 0 {
+                tree.sub(pos, w);
+                excluded.push((pos, w));
+            }
+        };
+        exclude(tree, me);
+        for nb in g.neighbors(me) {
+            exclude(tree, nb.id);
+        }
+        let found = loop {
+            if tree.total == 0 {
+                break None;
+            }
+            let cand = ids.member(tree.find(rng.next_f64() * tree.total as f64));
+            if accept(cand) {
+                break Some(cand);
+            }
+            exclude(tree, cand);
+        };
+        for (pos, w) in excluded.drain(..) {
+            tree.add(pos, w);
+        }
+        found
+    }
 }
 
 struct Builder<'a> {
     p: &'a TopologyParams,
     rng: Xoshiro256StarStar,
     graph: AsGraph,
-    t_nodes: Vec<AsId>,
-    m_nodes: Vec<AsId>,
-    cp_nodes: Vec<AsId>,
-    /// Scratch buffer for weighted draws, reused to avoid per-draw
-    /// allocation.
-    weights: Vec<f64>,
+    /// Provider pools of phase 1: all T nodes, and the M nodes added so
+    /// far.
+    t_providers: Pool,
+    m_providers: Pool,
 }
 
 impl<'a> Builder<'a> {
@@ -75,10 +336,8 @@ impl<'a> Builder<'a> {
             p,
             rng: Xoshiro256StarStar::new(seed),
             graph: AsGraph::with_capacity(p.n),
-            t_nodes: Vec::with_capacity(p.n_t),
-            m_nodes: Vec::with_capacity(p.n_m),
-            cp_nodes: Vec::with_capacity(p.n_cp),
-            weights: Vec::new(),
+            t_providers: Pool::new(Weighting::TransitDegree, 0, 0, p.n_t),
+            m_providers: Pool::new(Weighting::TransitDegree, p.n_t, 0, p.n_m),
         }
     }
 
@@ -123,61 +382,45 @@ impl<'a> Builder<'a> {
     fn add_tier1_clique(&mut self) {
         let all_regions = RegionSet::all(self.p.regions);
         for _ in 0..self.p.n_t {
-            let id = self.graph.add_node(NodeType::T, all_regions);
-            self.t_nodes.push(id);
+            self.graph.add_node(NodeType::T, all_regions);
+            self.t_providers.grow(&self.graph);
         }
-        for i in 0..self.t_nodes.len() {
-            for j in (i + 1)..self.t_nodes.len() {
-                self.graph.add_peer_link(self.t_nodes[i], self.t_nodes[j]);
+        for i in 0..self.p.n_t {
+            for j in (i + 1)..self.p.n_t {
+                self.graph.add_peer_link(AsId(i as u32), AsId(j as u32));
             }
         }
     }
 
-    /// Weighted provider pick from `pool` by preferential attachment on
-    /// transit degree (+1 smoothing so degree-zero candidates remain
-    /// reachable). Region compatibility and already-chosen providers are
-    /// excluded. Returns `None` if the pool has no eligible candidate.
-    fn pick_provider(&mut self, me: AsId, pool: &[AsId], chosen: &[AsId]) -> Option<AsId> {
-        let my_regions = self.graph.regions(me);
-        self.weights.clear();
-        let mut total = 0.0;
-        for &cand in pool {
-            let w = if cand == me
-                || chosen.contains(&cand)
-                || !self.graph.regions(cand).intersects(my_regions)
-            {
-                0.0
-            } else {
-                (self.graph.transit_degree(cand) + 1) as f64
-            };
-            self.weights.push(w);
-            total += w;
-        }
-        if total <= 0.0 {
-            return None;
-        }
-        Some(pool[self.rng.choose_weighted(&self.weights)])
+    /// Provider pick for `me` from the T or the M pool by preferential
+    /// attachment on transit degree, among region-compatible candidates
+    /// `me` does not already buy from. `None` if the pool has no eligible
+    /// candidate.
+    fn pick_provider(&mut self, me: AsId, from_t: bool) -> Option<AsId> {
+        let pool = if from_t {
+            &mut self.t_providers
+        } else {
+            &mut self.m_providers
+        };
+        pool.draw(&self.graph, &mut self.rng, me, |_| true)
     }
 
     /// Selects and wires the providers for one freshly added node.
     ///
-    /// `t_prob` is the probability that a slot draws from the T pool;
-    /// `m_pool` holds the eligible M candidates (nodes added earlier).
-    /// The PREFER-* caps of §5.4 are applied here: when a pool's cap is
-    /// reached (or the pool has no eligible candidate), the slot falls back
-    /// to the other pool; if neither pool can serve, the slot is dropped.
-    fn wire_providers(&mut self, me: AsId, count: usize, t_prob: f64, m_pool: &[AsId], is_m_node: bool) {
+    /// `t_prob` is the probability that a slot draws from the T pool; the
+    /// M pool holds the M nodes added before `me`. The PREFER-* caps of
+    /// §5.4 are applied here: when a pool's cap is reached (or the pool has
+    /// no eligible candidate), the slot falls back to the other pool; if
+    /// neither pool can serve, the slot is dropped.
+    fn wire_providers(&mut self, me: AsId, count: usize, t_prob: f64, is_m_node: bool) {
         let t_cap = if is_m_node {
             self.p.max_t_providers_for_m.unwrap_or(usize::MAX)
         } else {
             usize::MAX
         };
         let m_cap = self.p.max_m_providers.unwrap_or(usize::MAX);
-        let mut chosen: Vec<AsId> = Vec::with_capacity(count);
         let mut t_used = 0usize;
         let mut m_used = 0usize;
-        // Split into owned vec to satisfy the borrow checker on t_nodes.
-        let t_pool: Vec<AsId> = self.t_nodes.clone();
         for _ in 0..count {
             let mut want_t = self.rng.chance(t_prob);
             if want_t && t_used >= t_cap {
@@ -190,33 +433,34 @@ impl<'a> Builder<'a> {
                 break; // both pools capped
             }
             let provider = if want_t {
-                self.pick_provider(me, &t_pool, &chosen).or_else(|| {
+                self.pick_provider(me, true).or_else(|| {
                     if m_used < m_cap {
-                        self.pick_provider(me, m_pool, &chosen)
+                        self.pick_provider(me, false)
                     } else {
                         None
                     }
                 })
             } else {
-                self.pick_provider(me, m_pool, &chosen).or_else(|| {
+                self.pick_provider(me, false).or_else(|| {
                     if t_used < t_cap {
-                        self.pick_provider(me, &t_pool, &chosen)
+                        self.pick_provider(me, true)
                     } else {
                         None
                     }
                 })
             };
             let Some(provider) = provider else { break };
+            self.graph.add_transit_link(me, provider);
             if self.graph.node_type(provider) == NodeType::T {
                 t_used += 1;
+                self.t_providers.bump(&self.graph, provider);
             } else {
                 m_used += 1;
+                self.m_providers.bump(&self.graph, provider);
             }
-            self.graph.add_transit_link(me, provider);
-            chosen.push(provider);
         }
         debug_assert!(
-            !chosen.is_empty(),
+            self.graph.multihoming_degree(me) > 0,
             "node {me} ended up with no provider (pool exhaustion should be impossible: T pool is global)"
         );
     }
@@ -226,11 +470,10 @@ impl<'a> Builder<'a> {
             let regions = self.draw_regions(self.p.m_two_region_frac);
             let id = self.graph.add_node(NodeType::M, regions);
             let count = self.draw_provider_count(self.p.d_m);
-            // Pool = M nodes added before `id` only: keeps the provider
-            // relation acyclic.
-            let pool: Vec<AsId> = self.m_nodes.clone();
-            self.wire_providers(id, count, self.p.t_m, &pool, true);
-            self.m_nodes.push(id);
+            // The M pool holds only the M nodes added before `id`: keeps
+            // the provider relation acyclic.
+            self.wire_providers(id, count, self.p.t_m, true);
+            self.m_providers.grow(&self.graph);
         }
     }
 
@@ -240,104 +483,64 @@ impl<'a> Builder<'a> {
             NodeType::C => (self.p.n_c, 0.0, self.p.d_c, self.p.t_c),
             _ => unreachable!("add_stubs only handles stub types"),
         };
-        let pool: Vec<AsId> = self.m_nodes.clone();
         for _ in 0..count {
             let regions = self.draw_regions(two_region_frac);
             let id = self.graph.add_node(ty, regions);
             let slots = self.draw_provider_count(d);
-            self.wire_providers(id, slots, t_prob, &pool, false);
-            if ty == NodeType::Cp {
-                self.cp_nodes.push(id);
-            }
+            self.wire_providers(id, slots, t_prob, false);
         }
     }
 
-    /// True if `a`–`b` is an acceptable peering link: not already adjacent
-    /// and neither endpoint lies in the other's customer tree.
-    fn peering_ok(&self, a: AsId, b: AsId) -> bool {
-        a != b
-            && !self.graph.has_link(a, b)
-            && !self.graph.in_customer_tree(a, b)
-            && !self.graph.in_customer_tree(b, a)
-    }
-
-    /// Weighted peer pick with an expensive validity predicate: weights are
-    /// computed from cheap checks, and customer-tree validity is verified
-    /// only on drawn candidates (zeroing and redrawing on failure), which
-    /// avoids a BFS per candidate.
-    fn pick_peer(
-        &mut self,
-        me: AsId,
-        pool: &[AsId],
-        preferential_on_peering_degree: bool,
-    ) -> Option<AsId> {
-        let my_regions = self.graph.regions(me);
-        self.weights.clear();
-        let mut total = 0.0;
-        for &cand in pool {
-            let w = if cand == me
-                || !self.graph.regions(cand).intersects(my_regions)
-                || self.graph.has_link(me, cand)
-            {
-                0.0
-            } else if preferential_on_peering_degree {
-                (self.graph.peering_degree(cand) + 1) as f64
-            } else {
-                1.0
-            };
-            self.weights.push(w);
-            total += w;
-        }
-        while total > 0.0 {
-            let idx = self.rng.choose_weighted(&self.weights);
-            let cand = pool[idx];
-            if self.peering_ok(me, cand) {
-                return Some(cand);
-            }
-            total -= self.weights[idx];
-            self.weights[idx] = 0.0;
-        }
-        None
-    }
-
-    fn add_m_peering(&mut self) {
-        let pool: Vec<AsId> = self.m_nodes.clone();
-        for i in 0..pool.len() {
-            let me = pool[i];
+    fn add_m_peering(&mut self, ancestry: &mut Ancestry) {
+        // Preferential attachment "considering only the peering degree of
+        // each potential peer" (§3).
+        let mut pool = Pool::new(Weighting::PeeringDegree, self.p.n_t, self.p.n_m, self.p.n_m);
+        for pos in 0..self.p.n_m {
+            let me = pool.ids.member(pos);
+            ancestry.mark_ancestors(me);
             let count = self.draw_peer_count(self.p.p_m);
             for _ in 0..count {
-                // Preferential attachment "considering only the peering
-                // degree of each potential peer" (§3).
-                match self.pick_peer(me, &pool, true) {
-                    Some(peer) => self.graph.add_peer_link(me, peer),
-                    None => break,
-                }
+                let Some(peer) = pool.draw(&self.graph, &mut self.rng, me, |cand| {
+                    peering_ok(ancestry, me, cand)
+                }) else {
+                    break;
+                };
+                self.graph.add_peer_link(me, peer);
+                pool.bump(&self.graph, me);
+                pool.bump(&self.graph, peer);
             }
         }
     }
 
-    fn add_cp_peering(&mut self) {
-        let m_pool: Vec<AsId> = self.m_nodes.clone();
-        let cp_pool: Vec<AsId> = self.cp_nodes.clone();
-        for i in 0..cp_pool.len() {
-            let me = cp_pool[i];
-            let to_m = self.draw_peer_count(self.p.p_cp_m);
-            for _ in 0..to_m {
-                // CP nodes select peers uniformly within their region (§3).
-                match self.pick_peer(me, &m_pool, false) {
-                    Some(peer) => self.graph.add_peer_link(me, peer),
-                    None => break,
-                }
-            }
-            let to_cp = self.draw_peer_count(self.p.p_cp_cp);
-            for _ in 0..to_cp {
-                match self.pick_peer(me, &cp_pool, false) {
-                    Some(peer) => self.graph.add_peer_link(me, peer),
-                    None => break,
+    fn add_cp_peering(&mut self, ancestry: &mut Ancestry) {
+        // CP nodes select peers uniformly within their region (§3).
+        let (n_t, n_m, n_cp) = (self.p.n_t, self.p.n_m, self.p.n_cp);
+        let mut to_m = Pool::new(Weighting::Uniform, n_t, n_m, n_m);
+        let mut to_cp = Pool::new(Weighting::Uniform, n_t + n_m, n_cp, n_cp);
+        for pos in 0..n_cp {
+            let me = to_cp.ids.member(pos);
+            ancestry.mark_ancestors(me);
+            for (mean, pool) in [(self.p.p_cp_m, &mut to_m), (self.p.p_cp_cp, &mut to_cp)] {
+                let count = self.draw_peer_count(mean);
+                for _ in 0..count {
+                    let Some(peer) = pool.draw(&self.graph, &mut self.rng, me, |cand| {
+                        peering_ok(ancestry, me, cand)
+                    }) else {
+                        break;
+                    };
+                    self.graph.add_peer_link(me, peer);
                 }
             }
         }
     }
+}
+
+/// True if neither end of a prospective `me`–`cand` peering link lies in
+/// the other's customer tree, given `me`'s ancestors marked. Self-links and
+/// existing links never get here: a draw excludes the drawing node and its
+/// neighbours.
+fn peering_ok(ancestry: &mut Ancestry, me: AsId, cand: AsId) -> bool {
+    !ancestry.is_marked(cand) && !ancestry.in_customer_tree(me, cand)
 }
 
 #[cfg(test)]
@@ -555,6 +758,82 @@ mod tests {
             max as f64 > 3.0 * mean,
             "max peering degree {max} not heavy-tailed vs mean {mean}"
         );
+    }
+
+    /// One draw through `Rng::choose_weighted` over the weights as `f64`
+    /// and one through the Fenwick descent, from equal RNG states: both
+    /// must pick the same index. `None` when no weight is left.
+    fn draw_both(
+        weights: &[u64],
+        tree: &Fenwick,
+        scan_rng: &mut Xoshiro256StarStar,
+        tree_rng: &mut Xoshiro256StarStar,
+    ) -> Option<usize> {
+        let total: u64 = weights.iter().sum();
+        assert_eq!(tree.total, total);
+        if total == 0 {
+            return None;
+        }
+        let as_f64: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+        let want = scan_rng.choose_weighted(&as_f64);
+        let got = tree.find(tree_rng.next_f64() * total as f64);
+        assert_eq!(got, want, "weights {weights:?}");
+        assert!(weights[got] > 0, "drew a zero weight");
+        Some(got)
+    }
+
+    #[test]
+    fn fenwick_descent_matches_choose_weighted() {
+        let mut gen = Xoshiro256StarStar::new(0xF3);
+        for case in 0..400u64 {
+            let len = 1 + gen.next_below(300) as usize;
+            let max_w = [1, 3, 50, 1 << 20][case as usize % 4];
+            let mut weights: Vec<u64> = (0..len)
+                .map(|_| if gen.chance(0.3) { 0 } else { gen.next_below(max_w + 1) })
+                .collect();
+            // Zero-weight padding past the members, as in a growing pool.
+            let capacity = len + gen.next_below(4) as usize;
+            let mut tree = Fenwick::new(weights.iter().copied(), capacity);
+            let mut scan_rng = Xoshiro256StarStar::new(case);
+            let mut tree_rng = scan_rng.clone();
+            // Point updates, a draw after each.
+            for _ in 0..30 {
+                let pos = gen.next_below(len as u64) as usize;
+                if gen.chance(0.5) {
+                    let w = gen.next_below(max_w + 1);
+                    weights[pos] += w;
+                    tree.add(pos, w);
+                } else {
+                    let w = gen.next_below(weights[pos] + 1);
+                    weights[pos] -= w;
+                    tree.sub(pos, w);
+                }
+                draw_both(&weights, &tree, &mut scan_rng, &mut tree_rng);
+            }
+            // Zero what was drawn and redraw until nothing is left, as the
+            // peering redraw loop does.
+            while let Some(i) = draw_both(&weights, &tree, &mut scan_rng, &mut tree_rng) {
+                tree.sub(i, weights[i]);
+                weights[i] = 0;
+            }
+        }
+    }
+
+    #[test]
+    fn fenwick_find_returns_the_first_prefix_above_the_target() {
+        let weights = [0u64, 2, 0, 0, 3, 1, 0];
+        let tree = Fenwick::new(weights.iter().copied(), 9);
+        assert_eq!(tree.total, 6);
+        for (target, want) in [
+            (0.0, 1),
+            (1.999, 1),
+            (2.0, 4),
+            (4.5, 4),
+            (5.0, 5),
+            (5.999_999, 5),
+        ] {
+            assert_eq!(tree.find(target), want, "target {target}");
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 
+mod ancestry;
 pub mod generator;
 pub mod graph;
 pub mod metrics;

@@ -8,6 +8,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use crate::ancestry::Ancestry;
 use crate::graph::AsGraph;
 use crate::types::{AsId, NodeType, Relationship};
 use crate::valley::valley_free_distances;
@@ -208,15 +209,36 @@ fn check_regions(g: &AsGraph, out: &mut Vec<Violation>) {
 }
 
 fn check_peer_not_in_customer_tree(g: &AsGraph, out: &mut Vec<Violation>) {
+    // `id` peering with `peer` breaks the rule when `id` is an ancestor of
+    // `peer`. Group the peer entries by `peer`, mark each peer's ancestors
+    // once, then report in the order of a scan over every node's peers.
+    let mut entries: Vec<(AsId, AsId, usize)> = Vec::new();
     for id in g.node_ids() {
-        for peer in g.peers(id) {
-            if g.in_customer_tree(id, peer) {
-                out.push(Violation {
-                    rule: Rule::PeerInCustomerTree,
-                    detail: format!("{id} peers with its customer-tree member {peer}"),
-                });
+        for (pos, nb) in g.neighbors(id).iter().enumerate() {
+            if nb.rel == Relationship::Peer && nb.id != id {
+                entries.push((nb.id, id, pos));
             }
         }
+    }
+    entries.sort_unstable();
+    let mut ancestry = Ancestry::new(g);
+    let mut marked = None;
+    let mut found: Vec<(AsId, usize, AsId)> = Vec::new();
+    for (peer, id, pos) in entries {
+        if marked != Some(peer) {
+            ancestry.mark_ancestors(peer);
+            marked = Some(peer);
+        }
+        if ancestry.is_marked(id) {
+            found.push((id, pos, peer));
+        }
+    }
+    found.sort_unstable();
+    for (id, _, peer) in found {
+        out.push(Violation {
+            rule: Rule::PeerInCustomerTree,
+            detail: format!("{id} peers with its customer-tree member {peer}"),
+        });
     }
 }
 
@@ -344,6 +366,41 @@ mod tests {
         g.add_peer_link(cp, t); // t peers with cp, which sits in t's tree
         let errs = validate(&g).unwrap_err();
         assert!(errs.iter().any(|v| v.rule == Rule::PeerInCustomerTree));
+    }
+
+    #[test]
+    fn peer_rule_matches_a_downward_scan_in_order() {
+        let mut g = generate(GrowthScenario::Baseline, 400, 3);
+        let transit: Vec<AsId> = g.node_ids().filter(|&id| g.node_type(id).is_transit()).collect();
+        let mut added = 0;
+        'roots: for &root in transit.iter().rev() {
+            for cand in g.customer_tree(root).into_iter().rev().take(2) {
+                if !g.has_link(root, cand) && g.regions(root).intersects(g.regions(cand)) {
+                    g.add_peer_link(cand, root);
+                    added += 1;
+                    if added == 12 {
+                        break 'roots;
+                    }
+                }
+            }
+        }
+        let want: Vec<String> = g
+            .node_ids()
+            .flat_map(|id| {
+                g.peers(id)
+                    .filter(|&peer| g.in_customer_tree(id, peer))
+                    .map(|peer| format!("{id} peers with its customer-tree member {peer}"))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let got: Vec<String> = validate(&g)
+            .unwrap_err()
+            .into_iter()
+            .filter(|v| v.rule == Rule::PeerInCustomerTree)
+            .map(|v| v.detail)
+            .collect();
+        assert_eq!(got.len(), 12);
+        assert_eq!(got, want);
     }
 
     #[test]
